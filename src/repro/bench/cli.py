@@ -59,8 +59,8 @@ def add_bench_arguments(bench: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the pool-backed executor axes "
-        "(process/parallel; default: CPU count)",
+        help="worker count for the pool-backed executor axis "
+        "(parallel; default: the usable cores)",
     )
     bench.add_argument(
         "--repeat",

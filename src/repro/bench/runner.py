@@ -68,7 +68,7 @@ class BenchRunner:
     ``session`` is shared across every case the runner executes, so the
     process-level memos (solvability verdicts, keyrings) amortize the
     way they do for real callers.  ``workers`` bounds the pool-backed
-    executors (``process``/``parallel``; default: CPU count) — the
+    executor (``parallel``; default: the usable cores) — the
     effective per-executor worker counts are recorded in each result's
     ``metrics``/``environment``, so trajectory files measured on
     multicore and single-core hosts stay comparable.

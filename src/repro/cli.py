@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="pool size for process/parallel (with no --executor, "
-        "implies --executor process)",
+        help="pool size for the parallel executor (default: the usable "
+        "cores; with no --executor, implies --executor parallel)",
     )
     sweep.add_argument(
         "--warm-cache",
@@ -342,9 +342,8 @@ def _cmd_sweep(args) -> int:
         print("error: --executor hosts needs --hosts HOST [HOST ...]", file=sys.stderr)
         return 2
     if executor is None:
-        # Workers demand a pool; the historical shorthand picks the
-        # process pool when no executor is named.
-        executor = "process" if args.workers else "serial"
+        # Workers demand the pool when no executor is named.
+        executor = "parallel" if args.workers else "serial"
     elif args.workers and executor not in POOLED_EXECUTORS:
         # An explicitly named in-process executor cannot honor workers:
         # reject rather than silently running a different plane.

@@ -62,11 +62,9 @@ __all__ = [
     "DIFFERENTIAL_EXECUTORS",
 ]
 
-#: The execution planes the executor-differential oracle compares.  The
-#: ``process`` executor is covered transitively (it runs the same
-#: serial per-spec path inside each worker and is exercised by the
-#: engine's own differential suite); ``parallel`` is the plane with new
-#: moving parts (sharding, per-worker caches, warm starts).  The
+#: The execution planes the executor-differential oracle compares;
+#: ``parallel`` is the plane with moving parts (chunking, per-worker
+#: caches, warm starts).  The
 #: ``hosts`` executor is opt-in (pass ``executors=(..., "hosts")``): it
 #: spawns localhost worker subprocesses (see :func:`localhost_executor`),
 #: which is the right cost for a dedicated suite or a CI smoke job but

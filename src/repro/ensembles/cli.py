@@ -65,7 +65,7 @@ def add_ensemble_arguments(ensemble: argparse.ArgumentParser) -> None:
         )
         p.add_argument(
             "--workers", type=int, default=None,
-            help="parallel shard count for the rank sweep (default: in-process)",
+            help="pool size for the rank sweep (default: the usable cores)",
         )
         p.add_argument(
             "--batch-size", type=int, default=128, metavar="B",

@@ -9,8 +9,9 @@ single hand-wired run:
 * :mod:`repro.experiment.records` — the columnar
   :class:`RunRecordSet` a sweep returns, with aggregation and CSV/JSON
   export;
-* :mod:`repro.experiment.engine` — :class:`Engine` (serial or
-  process-pool execution with memoized verdicts and keyrings) and
+* :mod:`repro.experiment.engine` — :class:`Engine` (one chunked
+  execution core: in-process, process pool, or worker hosts, with
+  memoized verdicts and keyrings) and
   :class:`Session`, the façade every CLI command, benchmark, and
   example routes through;
 * :mod:`repro.experiment.presets` — named sweeps covering the paper's

@@ -7,18 +7,19 @@ Layering:
   :class:`~repro.experiment.records.RunRecord` rows.  Deterministic:
   every source of randomness is seeded by the spec, and process-level
   caches only memoize pure values (solvability verdicts, keyrings);
-* executors — ``"serial"`` runs in-process one spec at a time,
-  ``"batch"`` schedules every bsm run of the sweep through one
-  :class:`~repro.runtime.BatchRuntime` round loop over a shared
-  :class:`~repro.runtime.ExecutionCache` (the single-worker fast
-  path), ``"process"`` fans the specs over a ``concurrent.futures``
-  process pool (specs travel as JSON dictionaries, so workers share
-  nothing with the parent), and ``"parallel"`` composes the two:
-  deterministic contiguous shards of the sweep, each executed in a
-  worker through its own batched round loop over a per-worker cache
-  (optionally warm-started from a pickled seed of the parent's
-  encode-memo tables).  All return records in spec order, and a
-  sweep's output is byte-identical whichever executor ran it;
+* the execution core — one pipeline behind every executor: specs are
+  cut into contiguous chunks (:func:`_spec_chunks`); a *backend*
+  yields each chunk's records in spec order — ``inline`` (``"serial"``
+  one spec at a time, the reference path, or batched through
+  :class:`~repro.runtime.BatchRuntime` round loops over one persistent
+  :class:`~repro.runtime.ExecutionCache`), ``pool`` (``"parallel"`` on
+  more than one effective worker) or ``hosts``
+  (:mod:`repro.runtime.remote`); and a *consumer* collects a
+  :class:`~repro.experiment.records.RunRecordSet`, writes a sink with a
+  checkpoint update per chunk (:func:`sweep_into`), or yields the
+  chunks (:func:`stream_sweep`).  Out-of-process workers run chunks
+  through one worker-side function (:func:`_run_chunk`), so output is
+  byte-identical whichever backend ran it;
 * :class:`Engine` — batch execution plus adaptive sweeps (run, refine,
   repeat);
 * :class:`Session` — the user-facing façade: presets, single runs with
@@ -28,11 +29,14 @@ Layering:
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import contextlib
 import functools
+import itertools
 import os
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.problem import BSMInstance, Setting
 from repro.core.runner import (
@@ -78,21 +82,11 @@ EXECUTORS = EXECUTOR_NAMES
 #: and cannot stream structured trace events back to the parent.  The
 #: CLI and the bench runner key their pool-specific handling off this
 #: tuple, so a future pool-backed executor changes it in one place.
-POOLED_EXECUTORS = ("process", "parallel")
+POOLED_EXECUTORS = ("parallel",)
 
-#: Executors whose runs leave this process entirely (pools plus the
+#: Executors whose runs leave this process entirely (the pool plus the
 #: cross-host plane) — none of them can stream trace events back.
 OUT_OF_PROCESS_EXECUTORS = POOLED_EXECUTORS + ("hosts",)
-
-
-def _implied_executor(executor: str | None, workers: int | None) -> str:
-    """An unspecified executor defaults to serial — unless the caller
-    asked for workers, which implies a pool (``process``, the historical
-    default; pass ``executor="parallel"`` explicitly for sharded
-    batching)."""
-    if executor is not None:
-        return executor
-    return "process" if workers is not None else "serial"
 
 
 # -- memoized pure values (per process; workers build their own) ---------------
@@ -510,16 +504,15 @@ def execute_spec(spec: ScenarioSpec, *, cache=NO_CACHE, trace=None) -> tuple[Run
 def _execute_batched(
     specs: Sequence[ScenarioSpec], trace=None, cache: ExecutionCache | None = None
 ) -> tuple[tuple[RunRecord, ...], ExecutionCache]:
-    """The single-worker fast path: one shared-cache batched round loop.
+    """One shared-cache batched round loop over ``specs`` (one chunk).
 
     Every runnable bsm spec is compiled to a plan and scheduled through
     one :class:`~repro.runtime.BatchRuntime`; other families (and specs
     pinned to the event runtime) execute in place.  Records come back
     in spec order and are byte-identical to the serial executor's; the
-    batch's :class:`~repro.runtime.ExecutionCache` is returned alongside
-    so callers (the bench runner) can read its hit statistics.
-    ``cache`` lets a parallel worker pass its (possibly warm-started)
-    per-shard cache in.
+    :class:`~repro.runtime.ExecutionCache` is returned alongside so
+    callers can read its hit statistics.  ``cache`` lets a caller keep
+    one (possibly warm-started) cache across chunks.
     """
     cache = cache if cache is not None else ExecutionCache()
     runtime = BatchRuntime(cache)
@@ -544,47 +537,59 @@ def _execute_batched(
     return tuple(record for row in rows for record in row), cache
 
 
-def _pool_worker(payload: dict) -> list[dict]:
-    """Process-pool entry point: dict in, dicts out (picklable both ways)."""
-    spec = ScenarioSpec.from_dict(payload)
-    return [record.to_dict() for record in execute_spec(spec)]
+# -- the execution core: the chunk rule ---------------------------------------
 
 
-# -- the parallel plane: sharded batched execution -----------------------------
+#: Chunks per worker (pool process or host) on an out-of-process
+#: backend: enough that heavy specs spread out and a fast worker takes
+#: more of them, few enough that per-chunk IPC stays negligible.
+CHUNKS_PER_WORKER = 4
+
+#: Specs per chunk in-process, and the cap on every chunk.
+DEFAULT_BATCH_SIZE = 256
+
+#: What a backend yields: ``(stop, records)`` per chunk, in spec order,
+#: where ``stop`` is the index just past the chunk's last spec.
+_Chunks = Iterator[tuple[int, tuple[RunRecord, ...]]]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask (``taskset``,
+    cgroup cpusets) where the platform has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def effective_workers(executor: str, workers: int | None, sweep_size: int) -> int:
     """The worker count ``executor`` actually uses for a sweep.
 
-    One source of truth for the pool sizing rule — the engine's pool
-    paths and the bench runner's recorded ``workers_<executor>``
-    metadata both resolve through here, so trajectory files can never
-    drift from what ran.  In-process executors always report 1;
-    pool-backed ones default to the CPU count and never exceed the
-    sweep (one spec cannot occupy two workers).
+    One source of truth for the pool sizing rule — the engine and the
+    bench runner's recorded ``workers_<executor>`` metadata both resolve
+    through here, so trajectory files can never drift from what ran.
+    In-process executors always report 1; the pool defaults to the
+    usable cores and never exceeds the sweep (one spec cannot occupy
+    two workers).
     """
     if executor not in POOLED_EXECUTORS:
         return 1
-    requested = workers or (os.cpu_count() or 2)
-    return max(1, min(requested, sweep_size))
+    return max(1, min(workers or _usable_cores(), sweep_size))
 
 
-def _chunk_bounds(count: int, shards: int) -> list[tuple[int, int]]:
-    """Deterministic contiguous chunking: ``shards`` near-equal slices.
+def _spec_chunks(count: int, batch_size: int, workers: int = 1) -> list[tuple[int, int]]:
+    """The chunk rule: contiguous ``[start, stop)`` slices of a sweep, in order.
 
-    Earlier shards take the remainder, so the split is a pure function
-    of ``(count, shards)`` — re-running a sweep shards identically, and
-    record order is reassembled by plain concatenation.
+    ``batch_size`` specs in-process; ``ceil(count / (CHUNKS_PER_WORKER *
+    workers))`` spread over pool processes or hosts, capped at
+    ``batch_size`` — so no backend hands a consumer more than
+    ``batch_size`` specs' records at once, whatever the core count.
     """
-    shards = max(1, min(shards, count))
-    base, extra = divmod(count, shards)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+    size = batch_size
+    if workers > 1:
+        size = min(batch_size, -(-count // (CHUNKS_PER_WORKER * workers)))
+    size = max(1, size)
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _warm_seed(specs: Sequence[ScenarioSpec]) -> tuple[object, ...]:
@@ -594,7 +599,7 @@ def _warm_seed(specs: Sequence[ScenarioSpec]) -> tuple[object, ...]:
     encodes its preference rankings — the heaviest payload substructures
     every protocol run re-sends — through a scratch cache, then
     snapshots the leaf/struct tables.  Workers restore the snapshot into
-    their per-shard cache before executing, so cross-shard-identical
+    their cache before their first chunk, so cross-chunk-identical
     structures encode once in the parent instead of once per worker.
     Purely an amortization: restored entries re-encode through the
     normal path, so records are unchanged.
@@ -629,117 +634,172 @@ def _sweep_rings(specs: Sequence[ScenarioSpec]) -> dict[int, KeyRing]:
     return {k: cached_keyring(k) for k in ks}
 
 
-def _warm_seed_cached(specs: Sequence[ScenarioSpec]) -> tuple[object, ...]:
-    """:func:`_warm_seed` through the persistent disk layer, when enabled.
-
-    With ``REPRO_CACHE_DIR`` set, the seed for a given workload is
-    computed once and re-read (content-addressed, fingerprint-versioned)
-    by every later run of the same sweep; without it this is exactly
-    ``_warm_seed``.
-    """
-    from repro.runtime.diskcache import DiskCache, sweep_key
-
-    disk = DiskCache()
-    if not disk.enabled:
-        return _warm_seed(specs)
-    key = sweep_key(specs)
-    seed = disk.get_object("warm-seed", key)
-    if isinstance(seed, tuple):
-        return seed
-    seed = _warm_seed(specs)
-    disk.put_object("warm-seed", key, seed)
-    return seed
-
-
 def _disk_warm_start(cache: ExecutionCache, specs: Sequence[ScenarioSpec]):
-    """Prime ``cache`` for ``specs`` from the disk layer, if possible.
+    """Prime ``cache`` for ``specs`` from the disk layer's warm state.
 
-    Returns ``(disk, miss_key, rings)``: ``disk`` is None when the layer
-    is disabled; ``miss_key`` is the content key to store a fresh state
-    under after the sweep (None on a hit — identical bytes would be
-    rewritten for nothing).
+    Returns the call that publishes the cache's state after the sweep —
+    a no-op on a hit (identical bytes would be rewritten for nothing) or
+    with the layer disabled.
     """
-    from repro.runtime.diskcache import DiskCache, restore_warm_state, sweep_key
+    from repro.runtime.diskcache import (
+        DiskCache,
+        capture_warm_state,
+        restore_warm_state,
+        sweep_key,
+    )
 
     disk = DiskCache()
     if not disk.enabled:
-        return None, None, {}
-    rings = _sweep_rings(specs)
-    key = sweep_key(specs)
+        return lambda: None
+    rings, key = _sweep_rings(specs), sweep_key(specs)
     state = disk.get_object("warm-state", key)
     if isinstance(state, dict):
         restore_warm_state(cache, rings, state)
-        return disk, None, rings
-    return disk, key, rings
+        return lambda: None
+    return lambda: disk.put_object("warm-state", key, capture_warm_state(cache, rings))
 
 
-def _disk_warm_store(
-    disk, key: str | None, cache: ExecutionCache, rings: dict[int, KeyRing]
-) -> None:
-    """Persist the batch's warm state after a disk-layer miss."""
-    if disk is None or key is None:
-        return
-    from repro.runtime.diskcache import capture_warm_state
+def _worker_warm_state(specs: Sequence[ScenarioSpec]) -> dict:
+    """What out-of-process workers are primed with under ``warm_cache``:
+    the parent's solvability verdicts plus the sweep's encode seed, which
+    with ``REPRO_CACHE_DIR`` set is computed once per workload and re-read
+    from the disk layer (content-addressed, fingerprint-versioned)."""
+    from repro.runtime.diskcache import DiskCache, sweep_key
 
-    disk.put_object("warm-state", key, capture_warm_state(cache, rings))
+    disk, key = DiskCache(), sweep_key(specs)
+    seed = disk.get_object("warm-seed", key)  # None when the layer is off
+    if not isinstance(seed, tuple):
+        seed = _warm_seed(specs)
+        if disk.enabled:
+            disk.put_object("warm-seed", key, seed)
+    return {"encode": seed, "solvability": cached_verdict.export_entries()}
 
 
-def _parallel_worker(payload: dict) -> dict:
-    """Parallel-shard entry point: one batched round loop per worker.
+# -- the worker side: pool processes and ``repro worker`` ----------------------
 
-    ``payload`` carries the shard's specs as JSON dictionaries plus an
-    optional encode-memo seed (pickled by the pool).  Returns the
-    shard's records as dictionaries together with the per-worker
-    cache statistics, which the parent merges via
-    :func:`repro.runtime.merge_cache_stats`.
+
+def _prime_worker(cache: ExecutionCache, state: Mapping) -> None:
+    """Install a warm state (see :func:`_worker_warm_state`) into a
+    worker's cache; signature entries re-key onto this process's rings."""
+    from repro.runtime.diskcache import restore_warm_state
+
+    rings = {
+        label: cached_keyring(label)
+        for label in state.get("signatures", {})
+        if isinstance(label, int)
+    }
+    restore_warm_state(cache, rings, state)
+
+
+def _run_chunk(cache: ExecutionCache, spec_dicts: Sequence[dict]) -> dict:
+    """Execute one chunk worker-side: spec dicts in, a JSON-ready reply out.
+
+    Pool workers and ``repro worker`` both run every chunk through here,
+    over one cache that persists across the worker's chunks — so
+    ``cache_stats`` is the worker's running total.
     """
-    specs = [ScenarioSpec.from_dict(data) for data in payload["specs"]]
-    cache = ExecutionCache()
-    seed = payload.get("seed")
-    if seed:
-        cache.warm_values(seed)
-    records, cache = _execute_batched(specs, cache=cache)
+    specs = [ScenarioSpec.from_dict(data) for data in spec_dicts]
+    records, _ = _execute_batched(specs, cache=cache)
     return {
         "records": [record.to_dict() for record in records],
         "cache_stats": cache.stats(),
     }
 
 
-def _execute_parallel(
-    specs: Sequence[ScenarioSpec], workers: int, warm_cache: bool = False
-) -> tuple[tuple[RunRecord, ...], dict]:
-    """The multicore fast path: batched shards over a process pool.
+#: A pool worker's one cache, built (and primed) by :func:`_pool_init`.
+_POOL_CACHE: ExecutionCache | None = None
 
-    Shards the sweep into deterministic contiguous chunks, runs each in
-    a worker through :func:`_execute_batched` (per-worker
-    :class:`~repro.runtime.ExecutionCache`, optionally warm-started),
-    and reassembles records in spec order.  A single effective shard
-    short-circuits to the in-process batched path — no pool, no pickling
-    — so ``parallel`` on one core degrades to ``batch`` plus nothing.
+
+def _pool_init(state: dict | None) -> None:
+    """Pool initializer: this worker's cache, primed once."""
+    global _POOL_CACHE
+    _POOL_CACHE = ExecutionCache()
+    if state is not None:
+        _prime_worker(_POOL_CACHE, state)
+
+
+def _pool_chunk(spec_dicts: list[dict]) -> dict:
+    """Pool task: one chunk over this worker's cache, tagged with the worker."""
+    assert _POOL_CACHE is not None  # every pool worker runs _pool_init first
+    return dict(_run_chunk(_POOL_CACHE, spec_dicts), worker=os.getpid())
+
+
+# -- backends: each yields ``(stop, records)`` per chunk, in spec order --------
+
+
+def _inline_chunks(specs, bounds, batched: bool, warm_cache: bool, trace, stats) -> _Chunks:
+    """The inline backend: this process, one chunk at a time.
+
+    ``batched`` runs every chunk through the batched round loop over one
+    persistent cache (warm-started from the disk layer under
+    ``warm_cache``) and reports its stats; otherwise specs run one at a
+    time over no shared cache — the ``serial`` reference path.
     """
-    bounds = _chunk_bounds(len(specs), effective_workers("parallel", workers, len(specs)))
-    seed = _warm_seed_cached(specs) if warm_cache and len(bounds) > 1 else None
-    if len(bounds) <= 1:
-        cache = ExecutionCache()
-        disk, miss_key, rings = (
-            _disk_warm_start(cache, specs) if warm_cache else (None, None, {})
-        )
-        records, cache = _execute_batched(specs, cache=cache)
-        _disk_warm_store(disk, miss_key, cache, rings)
-        return records, merge_cache_stats([cache.stats()])
-    payloads = [
-        {
-            "specs": [spec.to_dict() for spec in specs[start:stop]],
-            "seed": seed,
-        }
-        for start, stop in bounds
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        shards = list(pool.map(_parallel_worker, payloads))
-    records = tuple(
-        RunRecord.from_dict(data) for shard in shards for data in shard["records"]
+    if not batched:
+        for start, stop in bounds:
+            yield stop, tuple(
+                record
+                for spec in specs[start:stop]
+                for record in execute_spec(spec, trace=trace)
+            )
+        return
+    cache = ExecutionCache()
+    publish = _disk_warm_start(cache, specs) if warm_cache else None
+    for start, stop in bounds:
+        records, _ = _execute_batched(specs[start:stop], trace=trace, cache=cache)
+        yield stop, records
+    if publish is not None:
+        publish()
+    stats.update(merge_cache_stats([cache.stats()]))
+
+
+def _drain(specs, bounds, submit: Callable, workers: int, stats: dict) -> _Chunks:
+    """The in-order drain every out-of-process backend shares.
+
+    ``submit(start, spec_dicts)`` hands one chunk to one of ``workers``
+    workers and returns a future of its :func:`_run_chunk` reply, tagged
+    with the ``worker`` that ran it.  At most ``2 * workers`` chunks are
+    submitted but undrained at a time, so however far the workers get
+    ahead the parent holds at most that many completed chunks; chunks
+    are yielded strictly in spec order.  Each reply carries its worker's
+    running cache totals, so the last one drained per worker goes into
+    the merged ``stats``.
+    """
+    per_worker: dict = {}
+    queued: collections.deque = collections.deque()
+    upcoming = iter(bounds)
+
+    def top_up() -> None:
+        for start, stop in itertools.islice(upcoming, 2 * workers - len(queued)):
+            payload = [spec.to_dict() for spec in specs[start:stop]]
+            queued.append((stop, submit(start, payload)))
+
+    top_up()
+    while queued:
+        stop, future = queued.popleft()
+        reply = future.result()
+        top_up()
+        if reply["cache_stats"]:
+            per_worker[reply["worker"]] = reply["cache_stats"]
+        yield stop, tuple(RunRecord.from_dict(data) for data in reply["records"])
+    stats.update(merge_cache_stats(list(per_worker.values())))
+
+
+def _pool_chunks(specs, bounds, workers: int, warm_cache: bool, stats) -> _Chunks:
+    """The pool backend: a ``workers``-sized process pool feeding
+    :func:`_drain`, each worker primed once with the warm state."""
+    state = _worker_warm_state(specs) if warm_cache else None
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_pool_init, initargs=(state,)
     )
-    return records, merge_cache_stats([shard["cache_stats"] for shard in shards])
+    submit = lambda start, payload: pool.submit(_pool_chunk, payload)
+    try:
+        yield from _drain(specs, bounds, submit, workers, stats)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# -- consumers -----------------------------------------------------------------
 
 
 def stream_sweep(
@@ -750,24 +810,16 @@ def stream_sweep(
     stats: dict | None = None,
     sink=None,
 ) -> Iterable[tuple[RunRecord, ...]]:
-    """Execute a sweep and *yield* record chunks in spec order.
+    """Execute a sweep on the parallel plane and *yield* record chunks
+    in spec order.
 
-    The streaming complement of the ``parallel`` executor: the sweep is
-    sharded exactly like :func:`_execute_parallel` (same bounds, same
-    per-worker batched round loops, byte-identical records), but each
-    shard's records are yielded as soon as that shard — and every shard
-    before it — has completed, instead of materializing the whole
-    :class:`~repro.experiment.records.RunRecordSet` first.  Memory
-    stays flat in the number of shards, not the number of runs, which
-    is what the ``repro.serve`` NDJSON streaming path and long-running
-    ensemble writers need.
-
-    A single effective shard degrades to the in-process batched path
-    and yields once.  ``stats`` (optional dict) is updated in place
-    with the merged per-worker cache statistics after the last chunk —
-    a generator cannot return a value to a ``for`` loop, so the stats
-    argument keeps :data:`~repro.experiment.records.RunRecordSet.cache_stats`
-    available to streaming callers too.
+    The streaming consumer of the execution core: each chunk is yielded
+    as soon as it and every chunk before it are done, so memory stays
+    flat in the sweep size — what the ``repro.serve`` NDJSON path and
+    long-running ensemble writers need.  ``workers`` sizes the pool
+    (default: the usable cores; one runs in-process).  ``stats``
+    (optional dict) receives the merged per-worker cache statistics
+    after the last chunk, since a generator cannot return them.
 
     ``sink`` (an optional
     :class:`~repro.experiment.sinks.RecordSink`) receives each chunk
@@ -776,48 +828,12 @@ def stream_sweep(
     touching the chunks (the service plane streams this way).  The sink
     is not closed here — lifecycle stays with the caller.
     """
-    specs = tuple(specs)
-    if not specs:
-        if stats is not None:
-            stats.update(merge_cache_stats([]))
-        return
-    bounds = _chunk_bounds(len(specs), effective_workers("parallel", workers, len(specs)))
-    if len(bounds) <= 1:
-        cache = ExecutionCache()
-        disk, miss_key, rings = (
-            _disk_warm_start(cache, specs) if warm_cache else (None, None, {})
-        )
-        records, cache = _execute_batched(specs, cache=cache)
-        _disk_warm_store(disk, miss_key, cache, rings)
-        if stats is not None:
-            stats.update(merge_cache_stats([cache.stats()]))
-        if sink is not None:
-            sink.write_many(records)
-        yield records
-        return
-    seed = _warm_seed_cached(specs) if warm_cache else None
-    payloads = [
-        {
-            "specs": [spec.to_dict() for spec in specs[start:stop]],
-            "seed": seed,
-        }
-        for start, stop in bounds
-    ]
-    shard_stats: list[dict] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        # Submit every shard up front, then drain in spec order: shard
-        # i+1 finishing early just makes its yield instantaneous once
-        # shard i lands, so streaming never reorders records.
-        futures = [pool.submit(_parallel_worker, payload) for payload in payloads]
-        for future in futures:
-            shard = future.result()
-            shard_stats.append(shard["cache_stats"])
-            chunk = tuple(RunRecord.from_dict(data) for data in shard["records"])
+    engine = Engine("parallel", workers=workers, warm_cache=warm_cache)
+    with contextlib.closing(engine._chunks(tuple(specs), stats=stats)) as chunks:
+        for _, records in chunks:
             if sink is not None:
-                sink.write_many(chunk)
-            yield chunk
-    if stats is not None:
-        stats.update(merge_cache_stats(shard_stats))
+                sink.write_many(records)
+            yield records
 
 
 def _flush_sink(sink) -> None:
@@ -860,27 +876,31 @@ def sweep_into(
     *,
     workers: int | None = None,
     warm_cache: bool = False,
-    batch_size: int = 256,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     stats: dict | None = None,
     checkpoint: str | None = None,
 ) -> int:
-    """Execute a sweep writing every record into ``sink``; returns the count.
+    """Execute a sweep on the parallel plane, writing every record into
+    ``sink``; returns the count.
 
-    The memory-bounded execution plane: records are *never* gathered
-    into a :class:`~repro.experiment.records.RunRecordSet`.  With
-    multiple effective shards this drains :func:`stream_sweep` (one
-    ``write_many`` per shard, byte-identical records, spec order); with
-    a single effective shard the sweep runs in-process through the
-    batched round loop in slices of ``batch_size`` specs, so resident
-    records stay bounded by ``batch_size`` (plus whatever the sink
-    retains) no matter how large the sweep is.  Shared caches persist
-    across slices, so slicing costs no cache locality.
+    The memory-bounded consumer of the execution core: records are
+    *never* gathered into a
+    :class:`~repro.experiment.records.RunRecordSet` — each chunk goes to
+    the sink with one ``write_many`` as soon as it and every chunk
+    before it are done.  ``workers`` sizes the pool (default: the usable
+    cores; one runs in-process).  No chunk exceeds ``batch_size`` specs
+    on any backend (see :func:`_spec_chunks`), so resident records stay
+    bounded by ``batch_size`` plus whatever the sink retains, however
+    large the sweep and however many cores.  In-process chunks share one
+    persistent cache, so chunking costs no cache locality.
+    :meth:`Session.sweep_into` is the same consumer on the session's
+    own executor.
 
     ``checkpoint`` names a :class:`~repro.experiment.checkpoint.
     SweepCheckpoint` file next to the sink's archive: completed-spec
     progress (plus the archive byte offset, when the sink reports one)
-    is snapshotted after every flushed batch/shard, and a restart with
-    the same workload skips the completed prefix.  Pair it with an
+    is snapshotted after every flushed chunk, and a restart with the
+    same workload skips the completed prefix.  Pair it with an
     append-mode NDJSON sink: the archive is first rolled back to the
     acknowledged offset, so the resumed archive is byte-identical to an
     uninterrupted run wherever the kill landed.  A checkpointed sweep
@@ -891,66 +911,10 @@ def sweep_into(
     The sink is left open — close it (or use ``with``) at the call
     site; spilling sinks only complete their on-disk archive on close.
     """
-    if batch_size < 1:
-        raise SolvabilityError(f"batch_size must be >= 1, got {batch_size}")
-    specs = tuple(specs)
-    ckpt = None
-    done = 0
-    if checkpoint is not None:
-        from repro.experiment.checkpoint import SweepCheckpoint
-
-        ckpt = SweepCheckpoint(checkpoint, specs)
-        done = ckpt.completed
-        # A checkpointed sweep owns its archive: drop anything past the
-        # acknowledged offset (all of it when nothing was acknowledged)
-        # so the resumed archive is byte-identical to an uninterrupted
-        # run even when a kill landed between a flush and the update.
-        _sink_rollback(sink, ckpt)
-    pending = specs[done:]
-    if not pending:
-        if ckpt is not None:
-            ckpt.complete()
-        if stats is not None:
-            stats.update(merge_cache_stats([]))
-        return 0
-    bounds = _chunk_bounds(
-        len(pending), effective_workers("parallel", workers, len(pending))
+    session = Session(executor="parallel", workers=workers, warm_cache=warm_cache)
+    return session.sweep_into(
+        specs, sink, batch_size=batch_size, stats=stats, checkpoint=checkpoint
     )
-    if len(bounds) > 1:
-        total = 0
-        for chunk, (start, stop) in zip(
-            stream_sweep(pending, workers=workers, warm_cache=warm_cache, stats=stats),
-            bounds,
-        ):
-            sink.write_many(chunk)
-            total += len(chunk)
-            if ckpt is not None:
-                _flush_sink(sink)  # progress must never outrun the archive
-                done += stop - start
-                ckpt.update(done, archive_bytes=_sink_position(sink))
-        if ckpt is not None:
-            ckpt.complete()
-        return total
-    total = 0
-    cache = ExecutionCache()
-    disk, miss_key, rings = (
-        _disk_warm_start(cache, specs) if warm_cache else (None, None, {})
-    )
-    for start in range(0, len(pending), batch_size):
-        batch = pending[start : start + batch_size]
-        records, cache = _execute_batched(batch, cache=cache)
-        sink.write_many(records)
-        total += len(records)
-        if ckpt is not None:
-            _flush_sink(sink)  # progress must never outrun the archive
-            done += len(batch)
-            ckpt.update(done, archive_bytes=_sink_position(sink))
-    _disk_warm_store(disk, miss_key, cache, rings)
-    if ckpt is not None:
-        ckpt.complete()
-    if stats is not None:
-        stats.update(merge_cache_stats([cache.stats()]))
-    return total
 
 
 # -- the engine ----------------------------------------------------------------
@@ -959,18 +923,18 @@ def sweep_into(
 class Engine:
     """Executes sweeps on a pluggable executor with per-process memoization.
 
-    ``executor`` is ``"serial"`` (default), ``"batch"`` (one shared-
-    cache batched round loop — the single-worker fast path),
-    ``"process"`` (one spec per pool task), ``"parallel"`` (batched
-    shards over the pool: multicore × shared caches), or ``"hosts"``
-    (batched chunks over worker endpoints via
+    ``executor`` is ``"serial"`` (default; one spec at a time — the
+    reference path), ``"batch"`` (one shared-cache batched round loop),
+    ``"parallel"`` (that loop in a pool of ``workers`` processes, one
+    cache each), or ``"hosts"`` (that loop on worker endpoints via
     :mod:`repro.runtime.remote` — requires ``hosts``); ``workers``
-    bounds the pool (default: CPU count), ``warm_cache`` pre-seeds
-    worker caches from the parent (and, with ``REPRO_CACHE_DIR`` set,
-    from the persistent disk layer).  An
+    bounds the pool (default: the usable cores), ``warm_cache``
+    pre-seeds worker caches from the parent (and, with
+    ``REPRO_CACHE_DIR`` set, from the persistent disk layer).  An
     :class:`~repro.experiment.spec.ExecutorSpec` pins all four knobs
-    declaratively.  Adding a new backend — sharded, async, remote —
-    means adding a new executor here, not rewriting callers.
+    declaratively.  Every executor is a backend of one chunked core
+    (:meth:`_chunks`), so a new backend plugs in there, not into
+    callers.
     """
 
     def __init__(
@@ -997,9 +961,32 @@ class Engine:
                 '(e.g. hosts=("local", "local"); see repro.runtime.remote)'
             )
         self.executor = executor
-        self.workers = workers or (os.cpu_count() or 2)
+        self.workers = workers or _usable_cores()
         self.warm_cache = warm_cache
         self.hosts = tuple(hosts) if hosts else None
+
+    def _chunks(
+        self, specs, *, batch_size=DEFAULT_BATCH_SIZE, trace=None, stats=None
+    ) -> _Chunks:
+        """The execution core: ``(stop, records)`` per chunk of ``specs``,
+        in spec order, on the backend the executor picks (see the module
+        docstring).  ``stats`` (optional dict) receives the merged cache
+        statistics after the last chunk; ``serial`` shares no cache and
+        leaves it untouched.
+        """
+        stats = {} if stats is None else stats
+        if self.executor == "hosts":
+            from repro.runtime.remote import run_hosts
+
+            assert self.hosts is not None  # __init__ guarantees this
+            return run_hosts(specs, self.hosts, batch_size=batch_size,
+                             warm_cache=self.warm_cache, stats=stats)
+        workers = effective_workers(self.executor, self.workers, len(specs))
+        bounds = _spec_chunks(len(specs), batch_size, workers)
+        if workers > 1:
+            return _pool_chunks(specs, bounds, workers, self.warm_cache, stats)
+        batched = self.executor != "serial"
+        return _inline_chunks(specs, bounds, batched, self.warm_cache, trace, stats)
 
     def run(self, spec: ScenarioSpec) -> RunRecordSet:
         """Execute one spec in-process."""
@@ -1032,36 +1019,9 @@ class Engine:
                 f"('serial' or 'batch'), not the {self.executor!r} backend"
             )
         cache_stats: dict = {}
-        if self.executor == "hosts":
-            from repro.runtime.remote import run_hosts
-
-            assert self.hosts is not None  # __init__ guarantees this
-            records, cache_stats = run_hosts(
-                specs, self.hosts, warm_cache=self.warm_cache
-            )
-        elif self.executor == "parallel":
-            records, cache_stats = _execute_parallel(
-                specs, self.workers, warm_cache=self.warm_cache
-            )
-        elif self.executor == "process" and len(specs) > 1:
-            payloads = [spec.to_dict() for spec in specs]
-            chunksize = max(1, len(payloads) // (self.workers * 4))
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=effective_workers("process", self.workers, len(payloads))
-            ) as pool:
-                rows_per_spec = list(
-                    pool.map(_pool_worker, payloads, chunksize=chunksize)
-                )
-            records = tuple(
-                RunRecord.from_dict(row) for rows in rows_per_spec for row in rows
-            )
-        elif self.executor == "batch":
-            records, cache = _execute_batched(specs, trace=trace)
-            cache_stats = cache.stats()
-        else:
-            records = tuple(
-                record for spec in specs for record in execute_spec(spec, trace=trace)
-            )
+        chunks = self._chunks(specs, trace=trace, stats=cache_stats)
+        with contextlib.closing(chunks):
+            records = tuple(record for _, chunk in chunks for record in chunk)
         if sink is not None:
             sink.write_many(records)
         return RunRecordSet(
@@ -1116,14 +1076,9 @@ class Session:
         workers: int | None = None,
         warm_cache: bool = False,
     ) -> None:
-        if isinstance(executor, ExecutorSpec):
-            self.engine = Engine(executor, workers=workers, warm_cache=warm_cache)
-        else:
-            self.engine = Engine(
-                executor=_implied_executor(executor, workers),
-                workers=workers,
-                warm_cache=warm_cache,
-            )
+        if executor is None:  # workers alone imply the pool
+            executor = "parallel" if workers is not None else "serial"
+        self.engine = Engine(executor, workers=workers, warm_cache=warm_cache)
 
     # -- oracle ---------------------------------------------------------------
 
@@ -1156,24 +1111,9 @@ class Session:
         """
         if isinstance(sweep, str):
             sweep = self.preset(sweep)
-        engine = self.engine
-        if executor is not None or workers is not None or warm_cache is not None:
-            if isinstance(executor, ExecutorSpec):
-                engine = Engine(executor, workers=workers, warm_cache=bool(warm_cache))
-            else:
-                if executor is None:
-                    # workers only makes sense on a pool: honor the request
-                    # (unless the session is already pool-backed).
-                    if workers is not None and self.engine.executor not in POOLED_EXECUTORS:
-                        executor = "process"
-                    else:
-                        executor = self.engine.executor
-                engine = Engine(
-                    executor=executor,
-                    workers=workers or self.engine.workers,
-                    warm_cache=self.engine.warm_cache if warm_cache is None else warm_cache,
-                )
-        return engine.run_sweep(sweep, trace=trace, sink=sink)
+        return self._engine(executor, workers, warm_cache).run_sweep(
+            sweep, trace=trace, sink=sink
+        )
 
     def sweep_into(
         self,
@@ -1182,29 +1122,72 @@ class Session:
         *,
         workers: int | None = None,
         warm_cache: bool | None = None,
-        batch_size: int = 256,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         stats: dict | None = None,
         checkpoint: str | None = None,
     ) -> int:
         """Stream a sweep (or preset) into ``sink``; returns the record count.
 
-        The façade over :func:`sweep_into`: records go to the sink in
-        spec order without materializing a
-        :class:`~repro.experiment.records.RunRecordSet`, so ensemble
-        size is bounded by the sink's policy (spill threshold, running
-        aggregates), not by memory.  ``checkpoint`` names a progress
-        file enabling resume after a kill — see :func:`sweep_into`.
+        :func:`sweep_into` on the session's executor: a serial or batch
+        session streams in-process, a parallel one through the pool, a
+        hosts one across its endpoints — each with the same chunk rule,
+        memory envelope and checkpointing.  ``workers`` implies the
+        pool, as in :meth:`sweep`.
         """
         if isinstance(sweep, str):
             sweep = self.preset(sweep)
-        return sweep_into(
-            sweep,
-            sink,
-            workers=self.engine.workers if workers is None else workers,
-            warm_cache=self.engine.warm_cache if warm_cache is None else bool(warm_cache),
-            batch_size=batch_size,
-            stats=stats,
-            checkpoint=checkpoint,
+        if batch_size < 1:
+            raise SolvabilityError(f"batch_size must be >= 1, got {batch_size}")
+        specs = tuple(sweep)
+        ckpt = None
+        done = 0
+        if checkpoint is not None:
+            from repro.experiment.checkpoint import SweepCheckpoint
+
+            ckpt = SweepCheckpoint(checkpoint, specs)
+            done = ckpt.completed
+            # A checkpointed sweep owns its archive: drop anything past
+            # the acknowledged offset (all of it when nothing was
+            # acknowledged) so the resumed archive is byte-identical to an
+            # uninterrupted run even when a kill landed between a flush
+            # and the update.
+            _sink_rollback(sink, ckpt)
+        total = 0
+        engine = self._engine(workers=workers, warm_cache=warm_cache)
+        chunks = engine._chunks(specs[done:], batch_size=batch_size, stats=stats)
+        with contextlib.closing(chunks):
+            for stop, records in chunks:
+                sink.write_many(records)
+                total += len(records)
+                if ckpt is not None:
+                    _flush_sink(sink)  # progress must never outrun the archive
+                    ckpt.update(done + stop, archive_bytes=_sink_position(sink))
+        if ckpt is not None:
+            ckpt.complete()
+        return total
+
+    def _engine(
+        self,
+        executor: str | ExecutorSpec | None = None,
+        workers: int | None = None,
+        warm_cache: bool | None = None,
+    ) -> Engine:
+        """The session's engine, or a one-call variant for overrides.
+
+        ``workers`` alone implies the pool; an explicit executor wins.
+        """
+        if executor is None and workers is None and warm_cache is None:
+            return self.engine
+        if isinstance(executor, ExecutorSpec):
+            return Engine(executor, workers=workers, warm_cache=bool(warm_cache))
+        base = self.engine
+        if executor is None:
+            executor = "parallel" if workers is not None else base.executor
+        return Engine(
+            executor=executor,
+            workers=workers or base.workers,
+            warm_cache=base.warm_cache if warm_cache is None else warm_cache,
+            hosts=base.hosts if executor == "hosts" else None,
         )
 
     def adaptive(self, initial, refine, max_batches: int = 8) -> RunRecordSet:

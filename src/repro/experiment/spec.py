@@ -58,11 +58,10 @@ LINK_KINDS = ("random", "partition", "after_round")
 PROFILE_KINDS = ("random", "correlated", "master_list", "explicit", "incomplete_random")
 #: The engine's executor axis (see :mod:`repro.experiment.engine`):
 #: ``serial`` runs specs one at a time in-process, ``batch`` schedules a
-#: sweep through one shared-cache round loop, ``process`` fans single
-#: specs over a pool, ``parallel`` composes the two — per-worker batched
-#: shards over per-worker caches — and ``hosts`` shards across worker
+#: sweep through one shared-cache round loop, ``parallel`` runs that
+#: loop in a process pool over per-worker caches, and ``hosts`` on worker
 #: *endpoints* (subprocess/SSH/HTTP; see :mod:`repro.runtime.remote`).
-EXECUTOR_NAMES = ("serial", "process", "batch", "parallel", "hosts")
+EXECUTOR_NAMES = ("serial", "batch", "parallel", "hosts")
 
 #: Sentinel for "corrupt the full budget": the first ``tL`` left and
 #: first ``tR`` right parties.
@@ -584,12 +583,12 @@ class ExecutorSpec:
     executors, the worker endpoints for the ``hosts`` executor (each a
     :mod:`repro.runtime.remote` host string — ``"local"``,
     ``"ssh:user@box"``, or ``"http://host:port"``), and whether workers
-    warm-start their per-shard :class:`~repro.runtime.ExecutionCache`
+    warm-start their per-worker :class:`~repro.runtime.ExecutionCache`
     from a seed of the parent's encode-memo tables.  Like every spec it
     is JSON-round-trippable, so a bench workload or an archived
     experiment can pin its execution plane next to its scenarios.  The
     executor never shapes results — records stay byte-identical across
-    all five planes.
+    all four planes.
     """
 
     name: str = "serial"
@@ -606,9 +605,10 @@ class ExecutorSpec:
             object.__setattr__(self, "hosts", tuple(str(host) for host in self.hosts))
         if self.workers is not None and self.workers < 1:
             raise SolvabilityError(f"workers must be >= 1, got {self.workers}")
-        if self.name not in ("process", "parallel") and self.workers is not None:
+        if self.name != "parallel" and self.workers is not None:
             raise SolvabilityError(
-                f"workers only applies to the pool-backed executors, not {self.name!r}"
+                "workers only applies to the pool-backed executor "
+                f"(parallel), not {self.name!r}"
             )
         if self.warm_cache and self.name not in ("parallel", "hosts"):
             raise SolvabilityError(

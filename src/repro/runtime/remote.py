@@ -1,9 +1,10 @@
-"""Cross-host sweep execution: the ``hosts`` executor's worker plane.
+"""Cross-host sweep execution: the ``hosts`` backend's worker plane.
 
-The ``parallel`` executor shards a sweep across one machine's cores;
-this module shards it across *worker endpoints* — subprocesses, SSH
-targets, or :mod:`repro.serve` instances — fed from a work-stealing
-queue, and reassembles records in spec order, byte-identical to the
+The engine's execution core (:mod:`repro.experiment.engine`) cuts a
+sweep into contiguous chunks and drains them in spec order; this module
+is the backend that runs those chunks on *worker endpoints* —
+subprocesses, SSH targets, or :mod:`repro.serve` instances — fed from a
+work-stealing queue.  Records come back byte-identical to the
 ``serial`` executor (gated by the ``executor_differential`` oracle).
 
 Worker protocol (``repro worker``): newline-delimited JSON over the
@@ -20,7 +21,8 @@ worker's stdio, one reply line per request line.
 * ``{"op": "run", "id": N, "specs": [<spec dicts>]}`` executes the
   chunk through the batched round loop and replies ``{"id": N,
   "records": [<record dicts>], "cache_stats": {...}}`` (or ``{"id": N,
-  "error": "..."}``);
+  "error": "..."}``); the parent sends the chunk's first spec index as
+  ``N``;
 * EOF on stdin ends the worker.
 
 Host endpoint strings (:func:`run_hosts`):
@@ -36,37 +38,36 @@ Host endpoint strings (:func:`run_hosts`):
 * ``"http://host:port"`` — POST chunks to a running ``repro serve``
   instance's ``/v1/sweep`` and parse the NDJSON stream (no worker
   process at all; the service's own executor does the work).
+  ``https://`` is rejected: the client speaks plain HTTP only.
 
-The queue is work-stealing by construction: every host's pump thread
-pulls the next unclaimed chunk, so a fast host simply takes more of
-them — and a failed host's claimed chunk goes back on the queue for a
-surviving host to steal.  The sweep fails (:class:`~repro.errors.
-RemoteError`) only when some chunk never completes on any host:
-records are required to be complete and byte-identical, so a partial
-result is never returned.
+Every host's pump thread takes the next unclaimed chunk, so a fast
+host simply takes more of them.  A host that fails puts its claimed
+chunk back and stops; the other pumps wait for work until the sweep is
+over, so a live host steals it.  The sweep fails
+(:class:`~repro.errors.RemoteError`) only when a chunk is left with no
+live host, naming the chunk's spec range and what each host died of —
+for a subprocess worker, the last lines of its stderr.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 import pickle
 import queue
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
-from typing import IO, Mapping, Sequence
+from concurrent.futures import Future
+from typing import IO, Iterator, Mapping, Sequence
 
 from repro.errors import RemoteError
-from repro.runtime.cache import merge_cache_stats
 from repro.runtime.diskcache import cache_version
 
-__all__ = ["run_hosts", "worker_main", "DEFAULT_CHUNKS_PER_HOST"]
-
-#: Chunks offered per host: enough granularity for stealing to matter,
-#: few enough that per-chunk JSON overhead stays negligible.
-DEFAULT_CHUNKS_PER_HOST = 4
+__all__ = ["run_hosts", "worker_main"]
 
 
 def _emit(stream: IO[str], reply: Mapping) -> None:
@@ -74,20 +75,23 @@ def _emit(stream: IO[str], reply: Mapping) -> None:
     stream.flush()
 
 
+def _chunk_name(start: int, count: int) -> str:
+    """How errors name a chunk: its inclusive spec index range."""
+    return f"chunk specs {start}..{start + count - 1}"
+
+
 def worker_main(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
     """The ``repro worker`` stdio loop (see the module docstring).
 
     One persistent :class:`~repro.runtime.cache.ExecutionCache` spans
-    every chunk this worker executes, so cross-chunk-identical payload
-    structures amortize exactly like they do inside the ``batch``
-    executor.  The loop only writes protocol lines to stdout — anything
-    else a run might print would corrupt the stream, so nothing here
-    prints.
+    every chunk this worker executes, and each chunk runs through the
+    same worker-side function as a pool worker's
+    (:func:`repro.experiment.engine._run_chunk`).  The loop only writes
+    protocol lines to stdout — anything else a run might print would
+    corrupt the stream, so nothing here prints.
     """
-    from repro.experiment.engine import _execute_batched, cached_keyring
-    from repro.experiment.spec import ScenarioSpec
+    from repro.experiment.engine import _prime_worker, _run_chunk
     from repro.runtime.cache import ExecutionCache
-    from repro.runtime.diskcache import restore_warm_state
 
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -108,13 +112,7 @@ def worker_main(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> 
         op = request.get("op")
         if op == "warm":
             try:
-                state = pickle.loads(base64.b64decode(request["state"]))
-                rings = {
-                    label: cached_keyring(label)
-                    for label in state.get("signatures", {})
-                    if isinstance(label, int)
-                }
-                restore_warm_state(cache, rings, state)
+                _prime_worker(cache, pickle.loads(base64.b64decode(request["state"])))
             except Exception as exc:  # a bad warm state is non-fatal
                 _emit(stdout, {"op": "warmed", "error": f"{type(exc).__name__}: {exc}"})
             else:
@@ -123,13 +121,7 @@ def worker_main(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> 
         if op == "run":
             task_id = request.get("id")
             try:
-                specs = [ScenarioSpec.from_dict(data) for data in request["specs"]]
-                records, cache = _execute_batched(specs, cache=cache)
-                reply = {
-                    "id": task_id,
-                    "records": [record.to_dict() for record in records],
-                    "cache_stats": cache.stats(),
-                }
+                reply = dict(_run_chunk(cache, request["specs"]), id=task_id)
             except Exception as exc:
                 reply = {"id": task_id, "error": f"{type(exc).__name__}: {exc}"}
             _emit(stdout, reply)
@@ -142,57 +134,79 @@ def worker_main(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> 
 
 
 class _SubprocessHost:
-    """One worker process (local, ssh, or explicit command) and its pipes."""
+    """One worker process (local, ssh, or explicit command) and its pipes.
+
+    The worker's stderr goes to a temporary file, so a failure can quote
+    the last lines it wrote (a traceback, an ssh error).
+    """
 
     def __init__(self, host: str, command: Sequence[str]) -> None:
         self.host = host
+        self._stderr = tempfile.TemporaryFile()
         try:
             self.process = subprocess.Popen(
                 list(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
                 text=True,
             )
         except OSError as exc:
+            self._stderr.close()
             raise RemoteError(f"cannot start worker for {host!r}: {exc}") from exc
-        ready = self._read_reply()
-        if ready.get("op") != "ready":
-            raise RemoteError(f"worker {host!r} did not handshake: {ready!r}")
-        version = ready.get("version")
-        if version != cache_version():
-            raise RemoteError(
-                f"worker {host!r} runs different code "
-                f"(fingerprint {version!r} != {cache_version()!r}); "
-                "byte-identical records need identical code on every host"
-            )
+        try:
+            ready = self._read_reply("during the handshake")
+            if ready.get("op") != "ready":
+                raise self._error(f"did not handshake: {ready!r}")
+            version = ready.get("version")
+            if version != cache_version():
+                raise RemoteError(
+                    f"worker {host!r} runs different code "
+                    f"(fingerprint {version!r} != {cache_version()!r}); "
+                    "byte-identical records need identical code on every host"
+                )
+        except RemoteError:
+            self.close()
+            raise
 
-    def _read_reply(self) -> dict:
+    def _error(self, what: str) -> RemoteError:
+        """A failure naming this worker and quoting the end of its stderr."""
+        fd = self._stderr.fileno()  # pread: the worker shares the file offset
+        tail = os.pread(fd, 4096, max(0, os.fstat(fd).st_size - 4096))
+        lines = tail.decode("utf-8", "replace").splitlines()[-20:]
+        quoted = "; its stderr ends:\n" + "\n".join(lines) if lines else ""
+        return RemoteError(f"worker {self.host!r} {what}{quoted}")
+
+    def _read_reply(self, context: str) -> dict:
         assert self.process.stdout is not None
         line = self.process.stdout.readline()
         if not line:
-            raise RemoteError(f"worker {self.host!r} closed its stream (died?)")
+            raise self._error(f"closed its stream (died?) {context}")
         try:
             reply = json.loads(line)
-        except ValueError as exc:
-            raise RemoteError(f"worker {self.host!r} spoke garbage: {line!r}") from exc
+        except ValueError:
+            reply = None
         if not isinstance(reply, dict):
-            raise RemoteError(f"worker {self.host!r} spoke garbage: {line!r}")
+            raise self._error(f"spoke garbage {context}: {line[:200]!r}")
         return reply
 
-    def call(self, request: Mapping) -> dict:
+    def call(self, request: Mapping, context: str) -> dict:
         assert self.process.stdin is not None
-        self.process.stdin.write(json.dumps(request, sort_keys=True) + "\n")
-        self.process.stdin.flush()
-        return self._read_reply()
+        try:
+            self.process.stdin.write(json.dumps(request, sort_keys=True) + "\n")
+            self.process.stdin.flush()
+        except OSError as exc:  # a dead worker's stdin is a broken pipe
+            raise self._error(f"stopped reading requests {context}: {exc}") from exc
+        return self._read_reply(context)
 
     def warm(self, encoded_state: str) -> None:
-        self.call({"op": "warm", "state": encoded_state})
+        self.call({"op": "warm", "state": encoded_state}, "while warming")
 
-    def run_chunk(self, task_id: int, spec_dicts: Sequence[dict]) -> tuple[list, dict]:
-        reply = self.call({"op": "run", "id": task_id, "specs": list(spec_dicts)})
+    def run_chunk(self, start: int, spec_dicts: Sequence[dict]) -> tuple[list, dict]:
+        context = f"running {_chunk_name(start, len(spec_dicts))}"
+        reply = self.call({"op": "run", "id": start, "specs": list(spec_dicts)}, context)
         if "error" in reply:
-            raise RemoteError(f"worker {self.host!r} failed: {reply['error']}")
+            raise self._error(f"failed {context}: {reply['error']}")
         return list(reply.get("records", ())), dict(reply.get("cache_stats", {}))
 
     def close(self) -> None:
@@ -202,6 +216,7 @@ class _SubprocessHost:
             self.process.wait(timeout=10)
         except (OSError, subprocess.TimeoutExpired):
             self.process.kill()
+        self._stderr.close()
 
 
 class _HttpHost:
@@ -221,9 +236,10 @@ class _HttpHost:
     def warm(self, encoded_state: str) -> None:
         pass  # the service owns its session; nothing to prime remotely
 
-    def run_chunk(self, task_id: int, spec_dicts: Sequence[dict]) -> tuple[list, dict]:
+    def run_chunk(self, start: int, spec_dicts: Sequence[dict]) -> tuple[list, dict]:
         from repro.serve.client import request as http_request
 
+        chunk = _chunk_name(start, len(spec_dicts))
         try:
             response = http_request(
                 self._addr[0],
@@ -234,10 +250,12 @@ class _HttpHost:
                 timeout=600.0,
             )
         except OSError as exc:
-            raise RemoteError(f"service {self.host!r} unreachable: {exc}") from exc
+            raise RemoteError(
+                f"service {self.host!r} unreachable running {chunk}: {exc}"
+            ) from exc
         if response.status != 200:
             raise RemoteError(
-                f"service {self.host!r} rejected the chunk: HTTP {response.status}"
+                f"service {self.host!r} rejected {chunk}: HTTP {response.status}"
             )
         records = []
         for line in response.lines():
@@ -266,7 +284,12 @@ def _open_host(host: str):
         if not words:
             raise RemoteError("cmd host needs a command line: 'cmd:python -m repro worker'")
         return _SubprocessHost(host, words)
-    if host.startswith("http://") or host.startswith("https://"):
+    if host.startswith("https://"):
+        raise RemoteError(
+            f"host {host!r} rejected: TLS is unsupported (the client speaks "
+            "plain HTTP only; reach the service over http:// or through ssh:)"
+        )
+    if host.startswith("http://"):
         return _HttpHost(host)
     raise RemoteError(
         f"unknown host endpoint {host!r}; expected 'local', 'ssh:<target>', "
@@ -274,114 +297,131 @@ def _open_host(host: str):
     )
 
 
-def _chunk_tasks(count: int, hosts: int, chunks_per_host: int) -> list[tuple[int, int]]:
-    """Contiguous task bounds: ~``hosts * chunks_per_host`` near-equal slices."""
-    from repro.experiment.engine import _chunk_bounds
-
-    return _chunk_bounds(count, max(1, hosts * chunks_per_host))
+# -- the pump plane --------------------------------------------------------------
 
 
-def run_hosts(
-    specs: Sequence,
-    hosts: Sequence[str],
-    *,
-    warm_cache: bool = False,
-    chunks_per_host: int = DEFAULT_CHUNKS_PER_HOST,
-) -> tuple[tuple, dict]:
-    """Execute ``specs`` across ``hosts``; returns ``(records, cache_stats)``.
+class _HostPumps:
+    """One pump thread per host endpoint, all fed from one chunk queue.
 
-    Records come back in spec order and byte-identical to the serial
-    executor: chunk bounds are deterministic and contiguous, each chunk
-    runs through the same batched round loop every other executor
-    gates against, and reassembly is concatenation by chunk index.
-    Which *host* ran a chunk is the only nondeterminism, and it cannot
-    reach the records (they are pure functions of the specs).
-
-    ``warm_cache`` ships a warm state (profile-ranking encode seed plus
-    the parent's solvability verdicts) to every subprocess/SSH worker
-    before the first chunk.  Failures anywhere fail the sweep with
-    :class:`~repro.errors.RemoteError`.
+    :meth:`submit` queues a chunk and returns the future of its reply.
+    A pump stops only when :meth:`close` ends the sweep or its own host
+    fails, putting a claimed chunk back for a live host to steal; when
+    the last host fails, every queued chunk's future fails instead.
     """
-    from repro.experiment.engine import _warm_seed
-    from repro.experiment.records import RunRecord
-    from repro.core.solvability import cached_is_solvable
 
-    specs = tuple(specs)
-    if not hosts:
-        raise RemoteError("the hosts executor needs at least one host endpoint")
-    if not specs:
-        return (), merge_cache_stats([])
-    bounds = _chunk_tasks(len(specs), len(hosts), chunks_per_host)
-    tasks = [
-        [spec.to_dict() for spec in specs[start:stop]] for start, stop in bounds
-    ]
-    encoded_state = None
-    if warm_cache:
-        state = {
-            "encode": _warm_seed(specs),
-            "solvability": cached_is_solvable.export_entries(),
-        }
-        encoded_state = base64.b64encode(
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
+    def __init__(self, hosts: Sequence[str], encoded_state: str | None) -> None:
+        self._queue: queue.Queue = queue.Queue()
+        self._lock = threading.Lock()
+        self._alive = len(hosts)
+        self._failures: list[Exception] = []
+        self._threads = [
+            threading.Thread(target=self._pump, args=(slot, host, encoded_state), daemon=True)
+            for slot, host in enumerate(hosts)
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    feed: "queue.Queue[int]" = queue.Queue()
-    for index in range(len(tasks)):
-        feed.put(index)
-    results: list[list | None] = [None] * len(tasks)
-    host_stats: list[dict | None] = [None] * len(hosts)
-    failures: list[BaseException] = []
-    lock = threading.Lock()
+    def submit(self, start: int, spec_dicts: list) -> Future:
+        future: Future = Future()
+        with self._lock:
+            if self._alive:
+                self._queue.put((start, spec_dicts, future))
+                return future
+            error = self._stranded(start, len(spec_dicts))
+        future.set_exception(error)
+        return future
 
-    def pump(slot: int, host: str) -> None:
+    def close(self) -> None:
+        """End the sweep: drop unclaimed chunks, stop every pump, wait."""
+        for _, _, future in self._unclaimed():
+            future.cancel()
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+
+    def _unclaimed(self) -> list:
+        items = []
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return items
+            if item is not None:
+                items.append(item)
+
+    def _stranded(self, start: int, count: int) -> RemoteError:
+        reasons = "; ".join(str(exc) for exc in self._failures)
+        return RemoteError(f"{_chunk_name(start, count)} has no live host left: {reasons}")
+
+    def _pump(self, slot: int, host: str, encoded_state: str | None) -> None:
         handle = None
         try:
             handle = _open_host(host)
             if encoded_state is not None:
                 handle.warm(encoded_state)
             while True:
+                item = self._queue.get()
+                if item is None:
+                    return
+                start, spec_dicts, future = item
                 try:
-                    index = feed.get_nowait()
-                except queue.Empty:
-                    break
-                try:
-                    records, stats = handle.run_chunk(index, tasks[index])
+                    records, cache_stats = handle.run_chunk(start, spec_dicts)
                 except BaseException:
-                    # Put the claimed chunk back: a surviving host's pump
-                    # can still steal it (it only stops on a drained
-                    # queue), so one dead worker does not doom the sweep.
-                    feed.put(index)
+                    self._queue.put(item)  # for a live host to steal
                     raise
-                results[index] = records
-                if stats:
-                    host_stats[slot] = stats
-        except BaseException as exc:  # collected; fatal only if work is left
-            with lock:
-                failures.append(exc)
+                future.set_result(
+                    {"records": records, "cache_stats": cache_stats, "worker": slot}
+                )
+        except Exception as exc:  # this host is out; the others carry on
+            with self._lock:
+                self._failures.append(exc)
+                self._alive -= 1
+                if not self._alive:
+                    for start, spec_dicts, future in self._unclaimed():
+                        future.set_exception(self._stranded(start, len(spec_dicts)))
         finally:
             if handle is not None:
                 handle.close()
 
-    threads = [
-        threading.Thread(target=pump, args=(slot, host), daemon=True)
-        for slot, host in enumerate(hosts)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    missing = [index for index, rows in enumerate(results) if rows is None]
-    if missing:
-        primary = failures[0] if failures else None
-        if isinstance(primary, RemoteError):
-            raise primary
-        raise RemoteError(
-            f"hosts sweep incomplete: chunks {missing} never completed"
-            + (f" (first failure: {primary})" if primary else "")
-        ) from primary
-    records = tuple(
-        RunRecord.from_dict(row) for rows in results for row in rows  # type: ignore[union-attr]
-    )
-    # Per-host cache stats are cumulative (one persistent cache per
-    # worker), so the last reply per host is that host's total.
-    return records, merge_cache_stats([stats for stats in host_stats if stats])
+
+def run_hosts(
+    specs: Sequence,
+    hosts: Sequence[str],
+    *,
+    batch_size: int | None = None,
+    warm_cache: bool = False,
+    stats: dict | None = None,
+) -> Iterator[tuple[int, tuple]]:
+    """The hosts backend: ``(stop, records)`` per chunk of ``specs``, in
+    spec order.
+
+    Chunks follow the engine's chunk rule over ``len(hosts)`` workers
+    and come back through its in-order drain, at most ``2 * len(hosts)``
+    out at a time.  Which *host* ran a chunk is the only nondeterminism,
+    and it cannot reach the records (they are pure functions of the
+    specs).  ``warm_cache`` ships the engine's worker warm state to every
+    subprocess/SSH worker before its first chunk; ``stats`` (optional
+    dict) receives the merged per-host cache statistics at the end.
+    """
+    from repro.experiment.engine import DEFAULT_BATCH_SIZE, _drain, _spec_chunks
+    from repro.experiment.engine import _worker_warm_state
+
+    specs = tuple(specs)
+    if not hosts:
+        raise RemoteError("the hosts executor needs at least one host endpoint")
+    bounds = _spec_chunks(len(specs), batch_size or DEFAULT_BATCH_SIZE, len(hosts))
+    if not bounds:
+        return
+    encoded_state = None
+    if warm_cache:
+        encoded_state = base64.b64encode(
+            pickle.dumps(_worker_warm_state(specs), protocol=pickle.HIGHEST_PROTOCOL)
+        ).decode("ascii")
+    pumps = _HostPumps(hosts, encoded_state)
+    try:
+        yield from _drain(
+            specs, bounds, pumps.submit, len(hosts), {} if stats is None else stats
+        )
+    finally:
+        pumps.close()

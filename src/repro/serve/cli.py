@@ -57,7 +57,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--sweep-workers",
         type=int,
         default=None,
-        help="shard count for the parallel sweep plane (default: cpu count)",
+        help="pool size for the parallel sweep plane (default: the usable cores)",
     )
     parser.add_argument(
         "--probe",

@@ -11,8 +11,8 @@ backend.  It is a stdlib-only asyncio server (hand-rolled HTTP via
   stable-matching lattice the honest parties landed on — see
   :mod:`repro.experiment.lattice_tags`);
 * ``POST /v1/sweep``  — a :class:`~repro.experiment.spec.Sweep`, records
-  streamed back as NDJSON lines (schema header first) as parallel
-  shards complete — byte-identical to the same sweep run in-process;
+  streamed back as NDJSON lines (schema header first) as chunks
+  complete — byte-identical to the same sweep run in-process;
 * ``POST /v1/jobs`` / ``GET /v1/jobs/<id>`` — async submission into the
   bounded :class:`~repro.serve.jobs.JobTable`;
 * ``GET /healthz``    — liveness (reports ``draining`` during shutdown);
@@ -316,9 +316,9 @@ class MatchingService:
             raise self._overloaded(exc)
         try:
             executor = self.config.sweep_executor
-            # The batch plane streams as one chunk; parallel streams one
-            # chunk per shard (stream_sweep shards exactly like the
-            # parallel executor, so records are byte-identical to it).
+            # The batch plane streams in-process chunks; parallel streams
+            # the pool's chunks in spec order (stream_sweep is the
+            # engine's chunked core, so records are byte-identical).
             workers = 1 if executor.name == "batch" else executor.workers
             loop = asyncio.get_running_loop()
             queue: asyncio.Queue = asyncio.Queue()

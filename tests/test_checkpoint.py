@@ -15,11 +15,33 @@ import json
 
 import pytest
 
-from repro.experiment import ProfileSpec, ScenarioSpec, Session
+from repro.experiment import ExecutorSpec, ProfileSpec, ScenarioSpec, Session
 from repro.experiment.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.experiment.sinks import MemorySink, NdjsonSink
 
 SESSION = Session()
+
+#: Sessions on every backend of the execution core.
+BACKENDS = {
+    "serial": lambda: SESSION,
+    "batch": lambda: Session(executor="batch"),
+    "parallel": lambda: Session(executor="parallel", workers=2),
+    "hosts": lambda: Session(
+        executor=ExecutorSpec(name="hosts", hosts=("local", "local"))
+    ),
+}
+
+#: Every kill point on every backend; serial, the reference path, keeps
+#: the bare kill-point ids.
+KILL_CASES = [
+    pytest.param(
+        backend,
+        fail_after,
+        id=str(fail_after) if backend == "serial" else f"{backend}-{fail_after}",
+    )
+    for backend in BACKENDS
+    for fail_after in (0, 2, 5, 9)
+]
 
 
 def _specs(count: int = 10):
@@ -53,23 +75,25 @@ class _KillSink(NdjsonSink):
 
 
 class TestKillRestart:
-    @pytest.mark.parametrize("fail_after", [0, 2, 5, 9])
-    def test_resume_is_byte_identical(self, tmp_path, fail_after):
-        """Die mid-sweep (even mid-batch), restart, compare archives."""
+    @pytest.mark.parametrize("backend,fail_after", KILL_CASES)
+    def test_resume_is_byte_identical(self, tmp_path, backend, fail_after):
+        """Die mid-sweep (even mid-batch), restart, compare archives —
+        on every backend, against the serial reference archive."""
         specs = _specs()
         expected = _reference_archive(tmp_path, specs)
         archive = tmp_path / "run.ndjson"
         ckpt = tmp_path / "run.ckpt"
+        session = BACKENDS[backend]()
 
         sink = _KillSink(str(archive), fail_after=fail_after)
         with pytest.raises(KeyboardInterrupt):
             with sink:
-                SESSION.sweep_into(
+                session.sweep_into(
                     specs, sink, batch_size=3, checkpoint=str(ckpt)
                 )
 
         with NdjsonSink(str(archive), append=True) as resumed:
-            count = SESSION.sweep_into(
+            count = session.sweep_into(
                 specs, resumed, batch_size=3, checkpoint=str(ckpt)
             )
         assert archive.read_bytes() == expected

@@ -157,7 +157,7 @@ class TestSweep:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "(process)" in out
+        assert "(parallel)" in out
         from repro.io import load_records
 
         records = load_records(json_path)

@@ -183,10 +183,11 @@ class TestRunEnsembleCheck:
         assert report.peak_resident <= 4
         assert "ensemble check: ok" in report.summary()
 
-    def test_spill_bounds_residency(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_spill_bounds_residency(self, tmp_path, workers):
         path = tmp_path / "spill.ndjson"
         report = run_ensemble_check(
-            ns=(16,), seeds=range(12), batch_size=2,
+            ns=(16,), seeds=range(12), workers=workers, batch_size=2,
             spill_threshold=3, spill_path=path,
         )
         assert report.spilled == 12

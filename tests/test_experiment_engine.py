@@ -110,14 +110,14 @@ class TestExecuteSpec:
 
 
 class TestExecutors:
-    def test_serial_and_process_are_byte_identical(self):
+    def test_serial_and_parallel_are_byte_identical(self):
         session = Session()
         serial = session.sweep(SMALL_SWEEP)
-        pooled = session.sweep(SMALL_SWEEP, executor="process", workers=2)
+        pooled = session.sweep(SMALL_SWEEP, executor="parallel", workers=2)
         assert serial.records == pooled.records
         assert serial.to_json() == pooled.to_json()
         assert serial.aggregate_json() == pooled.aggregate_json()
-        assert serial.executor == "serial" and pooled.executor == "process"
+        assert serial.executor == "serial" and pooled.executor == "parallel"
 
     def test_records_in_spec_order(self):
         records = Session().sweep(SMALL_SWEEP)
@@ -132,10 +132,10 @@ class TestExecutors:
         records = Session().sweep("smoke")
         assert len(records) >= 6
 
-    def test_workers_alone_implies_process_pool(self):
-        assert Session(workers=2).engine.executor == "process"
+    def test_workers_alone_implies_parallel_pool(self):
+        assert Session(workers=2).engine.executor == "parallel"
         records = Session().sweep(Sweep.of(*SMALL_SWEEP.specs[:2]), workers=2)
-        assert records.executor == "process"
+        assert records.executor == "parallel"
         # An explicit executor always wins.
         assert Session(executor="serial", workers=2).engine.executor == "serial"
 

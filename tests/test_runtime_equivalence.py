@@ -118,7 +118,7 @@ def test_batch_executor_matches_serial_on_mixed_sweep():
     assert batched.aggregate_json() == serial.aggregate_json()
 
 
-def test_batch_executor_matches_process_pool():
+def test_batch_executor_matches_parallel_pool():
     sweep = Sweep.grid(
         topologies=("fully_connected",),
         auths=(True,),
@@ -126,7 +126,7 @@ def test_batch_executor_matches_process_pool():
         budgets="solvable",
         adversary=AdversarySpec(kind="silent"),
     )
-    pooled = SESSION.sweep(sweep, executor="process", workers=2)
+    pooled = SESSION.sweep(sweep, executor="parallel", workers=2)
     batched = SESSION.sweep(sweep, executor="batch")
     assert batched.to_json() == pooled.to_json()
 

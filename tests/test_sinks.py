@@ -14,7 +14,7 @@ from repro.experiment.sinks import (
     StreamSink,
     TeeSink,
 )
-from repro.experiment.spec import ProfileSpec, ScenarioSpec, Sweep
+from repro.experiment.spec import ExecutorSpec, ProfileSpec, ScenarioSpec, Sweep
 from repro.io import iter_records_ndjson
 
 
@@ -225,13 +225,25 @@ class TestEngineSinkIntegration:
         assert count == len(specs)
         assert memory.recordset() == baseline
 
-    def test_sweep_into_streams_through_spill(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sweep_into_streams_through_spill(self, tmp_path, workers):
         specs = offline_specs(count=9)
         session = Session()
         baseline = session.sweep(Sweep(specs=specs))
         spill = SpillSink(3, tmp_path / "spill.ndjson")
         with spill:
-            sweep_into(specs, spill, batch_size=2)
+            sweep_into(specs, spill, workers=workers, batch_size=2)
+        assert spill.engaged
+        assert spill.peak_resident <= 3 + 2 - 1
+        assert RunRecordSet.from_iter(spill.iter_all()) == baseline
+
+    def test_hosts_sweep_into_streams_through_spill(self, tmp_path):
+        specs = offline_specs(count=9)
+        baseline = Session().sweep(Sweep(specs=specs))
+        session = Session(executor=ExecutorSpec(name="hosts", hosts=("local", "local")))
+        spill = SpillSink(3, tmp_path / "spill.ndjson")
+        with spill:
+            session.sweep_into(Sweep(specs=specs), spill, batch_size=2)
         assert spill.engaged
         assert spill.peak_resident <= 3 + 2 - 1
         assert RunRecordSet.from_iter(spill.iter_all()) == baseline
