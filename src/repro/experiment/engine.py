@@ -568,9 +568,8 @@ def effective_workers(executor: str, workers: int | None, sweep_size: int) -> in
     One source of truth for the pool sizing rule — the engine and the
     bench runner's recorded ``workers_<executor>`` metadata both resolve
     through here, so trajectory files can never drift from what ran.
-    In-process executors always report 1; the pool defaults to the
-    usable cores and never exceeds the sweep (one spec cannot occupy
-    two workers).
+    In-process executors report 1; the pool defaults to the usable cores
+    and never exceeds the sweep.
     """
     if executor not in POOLED_EXECUTORS:
         return 1
@@ -641,12 +640,7 @@ def _disk_warm_start(cache: ExecutionCache, specs: Sequence[ScenarioSpec]):
     a no-op on a hit (identical bytes would be rewritten for nothing) or
     with the layer disabled.
     """
-    from repro.runtime.diskcache import (
-        DiskCache,
-        capture_warm_state,
-        restore_warm_state,
-        sweep_key,
-    )
+    from repro.runtime.diskcache import DiskCache, capture_warm_state, restore_warm_state, sweep_key
 
     disk = DiskCache()
     if not disk.enabled:
@@ -706,8 +700,10 @@ def _run_chunk(cache: ExecutionCache, spec_dicts: Sequence[dict]) -> dict:
     }
 
 
-#: A pool worker's one cache, built (and primed) by :func:`_pool_init`.
+#: A pool worker's one cache, built (and primed) by :func:`_pool_init`,
+#: and the numbering of the chunks it runs.
 _POOL_CACHE: ExecutionCache | None = None
+_POOL_SEQ = itertools.count(1)
 
 
 def _pool_init(state: dict | None) -> None:
@@ -719,9 +715,10 @@ def _pool_init(state: dict | None) -> None:
 
 
 def _pool_chunk(spec_dicts: list[dict]) -> dict:
-    """Pool task: one chunk over this worker's cache, tagged with the worker."""
+    """Pool task: one chunk over this worker's cache, tagged with the
+    worker and the chunk's place in that worker's run order."""
     assert _POOL_CACHE is not None  # every pool worker runs _pool_init first
-    return dict(_run_chunk(_POOL_CACHE, spec_dicts), worker=os.getpid())
+    return dict(_run_chunk(_POOL_CACHE, spec_dicts), worker=os.getpid(), seq=next(_POOL_SEQ))
 
 
 # -- backends: each yields ``(stop, records)`` per chunk, in spec order --------
@@ -737,11 +734,8 @@ def _inline_chunks(specs, bounds, batched: bool, warm_cache: bool, trace, stats)
     """
     if not batched:
         for start, stop in bounds:
-            yield stop, tuple(
-                record
-                for spec in specs[start:stop]
-                for record in execute_spec(spec, trace=trace)
-            )
+            rows = [execute_spec(spec, trace=trace) for spec in specs[start:stop]]
+            yield stop, tuple(record for row in rows for record in row)
         return
     cache = ExecutionCache()
     publish = _disk_warm_start(cache, specs) if warm_cache else None
@@ -758,14 +752,14 @@ def _drain(specs, bounds, submit: Callable, workers: int, stats: dict) -> _Chunk
 
     ``submit(start, spec_dicts)`` hands one chunk to one of ``workers``
     workers and returns a future of its :func:`_run_chunk` reply, tagged
-    with the ``worker`` that ran it.  At most ``2 * workers`` chunks are
-    submitted but undrained at a time, so however far the workers get
-    ahead the parent holds at most that many completed chunks; chunks
-    are yielded strictly in spec order.  Each reply carries its worker's
-    running cache totals, so the last one drained per worker goes into
-    the merged ``stats``.
+    with the ``worker`` that ran it and ``seq``, the chunk's place in
+    that worker's run order.  Chunks are yielded strictly in spec order,
+    with at most ``2 * workers`` submitted but undrained.  Each reply
+    carries its worker's running cache totals; the newest per worker
+    (highest ``seq`` — a stolen chunk runs after later ones) is merged
+    into ``stats``.
     """
-    per_worker: dict = {}
+    per_worker: dict = {}  # worker -> (seq, running totals)
     queued: collections.deque = collections.deque()
     upcoming = iter(bounds)
 
@@ -779,10 +773,11 @@ def _drain(specs, bounds, submit: Callable, workers: int, stats: dict) -> _Chunk
         stop, future = queued.popleft()
         reply = future.result()
         top_up()
-        if reply["cache_stats"]:
-            per_worker[reply["worker"]] = reply["cache_stats"]
+        totals, worker = reply["cache_stats"], reply["worker"]
+        if totals and reply["seq"] > per_worker.get(worker, (0,))[0]:
+            per_worker[worker] = (reply["seq"], totals)
         yield stop, tuple(RunRecord.from_dict(data) for data in reply["records"])
-    stats.update(merge_cache_stats(list(per_worker.values())))
+    stats.update(merge_cache_stats([newest for _, newest in per_worker.values()]))
 
 
 def _pool_chunks(specs, bounds, workers: int, warm_cache: bool, stats) -> _Chunks:
@@ -799,6 +794,21 @@ def _pool_chunks(specs, bounds, workers: int, warm_cache: bool, stats) -> _Chunk
         pool.shutdown(cancel_futures=True)
 
 
+def _hosts_chunks(specs, bounds, hosts, warm_cache: bool, stats) -> _Chunks:
+    """The hosts backend: one pump thread per endpoint
+    (:class:`~repro.runtime.remote.HostPumps`) feeding :func:`_drain`,
+    each worker primed once with the warm state."""
+    from repro.runtime.remote import HostPumps
+
+    if not bounds:
+        return  # nothing to run: spawn no workers
+    pumps = HostPumps(hosts, _worker_warm_state(specs) if warm_cache else None)
+    try:
+        yield from _drain(specs, bounds, pumps.submit, len(hosts), stats)
+    finally:
+        pumps.close()
+
+
 # -- consumers -----------------------------------------------------------------
 
 
@@ -811,22 +821,15 @@ def stream_sweep(
     sink=None,
 ) -> Iterable[tuple[RunRecord, ...]]:
     """Execute a sweep on the parallel plane and *yield* record chunks
-    in spec order.
-
-    The streaming consumer of the execution core: each chunk is yielded
-    as soon as it and every chunk before it are done, so memory stays
-    flat in the sweep size — what the ``repro.serve`` NDJSON path and
-    long-running ensemble writers need.  ``workers`` sizes the pool
+    in spec order, each as soon as it and every chunk before it are done,
+    so memory stays flat in the sweep size.  ``workers`` sizes the pool
     (default: the usable cores; one runs in-process).  ``stats``
-    (optional dict) receives the merged per-worker cache statistics
-    after the last chunk, since a generator cannot return them.
-
-    ``sink`` (an optional
-    :class:`~repro.experiment.sinks.RecordSink`) receives each chunk
-    via ``write_many`` *before* it is yielded, so a caller that only
-    wants the sink's running view can drain the generator without
-    touching the chunks (the service plane streams this way).  The sink
-    is not closed here — lifecycle stays with the caller.
+    (optional dict) receives the merged cache statistics after the last
+    chunk, since a generator cannot return them.  ``sink`` (an optional
+    :class:`~repro.experiment.sinks.RecordSink`) receives each chunk via
+    ``write_many`` before it is yielded, so a caller that only wants the
+    sink's view can just drain the generator (the service plane does);
+    the sink is not closed here.
     """
     engine = Engine("parallel", workers=workers, warm_cache=warm_cache)
     with contextlib.closing(engine._chunks(tuple(specs), stats=stats)) as chunks:
@@ -836,17 +839,14 @@ def stream_sweep(
             yield records
 
 
-def _flush_sink(sink) -> None:
-    """Push a sink's buffered records to stable storage, when it can."""
-    flush = getattr(sink, "flush", None)
+def _acknowledge(sink, ckpt, completed: int) -> None:
+    """Flush the sink (when it can), then checkpoint ``completed`` specs
+    plus the archive byte offset (when the sink reports one) — progress
+    must never outrun the archive."""
+    flush, tell = getattr(sink, "flush", None), getattr(sink, "tell", None)
     if callable(flush):
         flush()
-
-
-def _sink_position(sink) -> int | None:
-    """The sink's archive byte offset, when it can report one."""
-    tell = getattr(sink, "tell", None)
-    return tell() if callable(tell) else None
+    ckpt.update(completed, archive_bytes=tell() if callable(tell) else None)
 
 
 def _sink_rollback(sink, ckpt) -> None:
@@ -880,36 +880,9 @@ def sweep_into(
     stats: dict | None = None,
     checkpoint: str | None = None,
 ) -> int:
-    """Execute a sweep on the parallel plane, writing every record into
-    ``sink``; returns the count.
-
-    The memory-bounded consumer of the execution core: records are
-    *never* gathered into a
-    :class:`~repro.experiment.records.RunRecordSet` — each chunk goes to
-    the sink with one ``write_many`` as soon as it and every chunk
-    before it are done.  ``workers`` sizes the pool (default: the usable
-    cores; one runs in-process).  No chunk exceeds ``batch_size`` specs
-    on any backend (see :func:`_spec_chunks`), so resident records stay
-    bounded by ``batch_size`` plus whatever the sink retains, however
-    large the sweep and however many cores.  In-process chunks share one
-    persistent cache, so chunking costs no cache locality.
-    :meth:`Session.sweep_into` is the same consumer on the session's
-    own executor.
-
-    ``checkpoint`` names a :class:`~repro.experiment.checkpoint.
-    SweepCheckpoint` file next to the sink's archive: completed-spec
-    progress (plus the archive byte offset, when the sink reports one)
-    is snapshotted after every flushed chunk, and a restart with the
-    same workload skips the completed prefix.  Pair it with an
-    append-mode NDJSON sink: the archive is first rolled back to the
-    acknowledged offset, so the resumed archive is byte-identical to an
-    uninterrupted run wherever the kill landed.  A checkpointed sweep
-    *owns* its archive — with no acknowledged progress the archive
-    restarts from byte 0.  The count returned is the records written by
-    *this* call — a resumed run reports the remainder.
-
-    The sink is left open — close it (or use ``with``) at the call
-    site; spilling sinks only complete their on-disk archive on close.
+    """:meth:`Session.sweep_into` on the parallel plane: writes every
+    record of the sweep into ``sink`` and returns the count.  ``workers``
+    sizes the pool (default: the usable cores; one runs in-process).
     """
     session = Session(executor="parallel", workers=workers, warm_cache=warm_cache)
     return session.sweep_into(
@@ -955,6 +928,11 @@ class Engine:
             )
         if workers is not None and workers < 1:
             raise SolvabilityError(f"workers must be >= 1, got {workers}")
+        if executor == "serial" and warm_cache:
+            raise SolvabilityError(
+                "warm_cache needs a shared cache, and the serial executor runs "
+                "without one; use batch, parallel or hosts"
+            )
         if executor == "hosts" and not hosts:
             raise SolvabilityError(
                 "the hosts executor needs host endpoints "
@@ -975,14 +953,11 @@ class Engine:
         leaves it untouched.
         """
         stats = {} if stats is None else stats
-        if self.executor == "hosts":
-            from repro.runtime.remote import run_hosts
-
-            assert self.hosts is not None  # __init__ guarantees this
-            return run_hosts(specs, self.hosts, batch_size=batch_size,
-                             warm_cache=self.warm_cache, stats=stats)
-        workers = effective_workers(self.executor, self.workers, len(specs))
+        hosts = self.hosts if self.executor == "hosts" and self.hosts else ()
+        workers = len(hosts) or effective_workers(self.executor, self.workers, len(specs))
         bounds = _spec_chunks(len(specs), batch_size, workers)
+        if hosts:
+            return _hosts_chunks(specs, bounds, hosts, self.warm_cache, stats)
         if workers > 1:
             return _pool_chunks(specs, bounds, workers, self.warm_cache, stats)
         batched = self.executor != "serial"
@@ -1010,6 +985,11 @@ class Engine:
         :class:`~repro.experiment.sinks.RecordSink` that receives the
         records as well (a tee — the set is still returned; for
         memory-bounded execution use :func:`sweep_into`).
+
+        The collected set holds every record anyway, so ``batch_size``
+        is the whole sweep: in-process that is one batched round loop,
+        and out of process the chunk rule still spreads about four
+        chunks per worker.
         """
         specs = tuple(sweep)
         started = time.perf_counter()
@@ -1019,7 +999,9 @@ class Engine:
                 f"('serial' or 'batch'), not the {self.executor!r} backend"
             )
         cache_stats: dict = {}
-        chunks = self._chunks(specs, trace=trace, stats=cache_stats)
+        chunks = self._chunks(
+            specs, batch_size=max(1, len(specs)), trace=trace, stats=cache_stats
+        )
         with contextlib.closing(chunks):
             records = tuple(record for _, chunk in chunks for record in chunk)
         if sink is not None:
@@ -1128,11 +1110,34 @@ class Session:
     ) -> int:
         """Stream a sweep (or preset) into ``sink``; returns the record count.
 
-        :func:`sweep_into` on the session's executor: a serial or batch
-        session streams in-process, a parallel one through the pool, a
-        hosts one across its endpoints — each with the same chunk rule,
-        memory envelope and checkpointing.  ``workers`` implies the
-        pool, as in :meth:`sweep`.
+        The memory-bounded consumer of the execution core: records are
+        *never* gathered into a
+        :class:`~repro.experiment.records.RunRecordSet` — each chunk goes
+        to the sink with one ``write_many`` as soon as it and every chunk
+        before it are done, on the session's executor (in-process for
+        serial and batch, the pool for parallel, the endpoints for hosts;
+        ``workers`` implies the pool, as in :meth:`sweep`).  No chunk
+        exceeds ``batch_size`` specs on any backend (see
+        :func:`_spec_chunks`), so resident records stay bounded by
+        ``batch_size`` plus whatever the sink retains.  A serial session
+        (the default) runs the reference path, one spec at a time with no
+        shared cache, so ``stats`` stays empty; a batch session's chunks
+        share one persistent cache.
+
+        ``checkpoint`` names a :class:`~repro.experiment.checkpoint.
+        SweepCheckpoint` file next to the sink's archive: completed-spec
+        progress (plus the archive byte offset, when the sink reports
+        one) is snapshotted after every flushed chunk, and a restart with
+        the same workload skips the completed prefix.  Pair it with an
+        append-mode NDJSON sink: the archive is first rolled back to the
+        acknowledged offset, so the resumed archive is byte-identical to
+        an uninterrupted run wherever the kill landed.  A checkpointed
+        sweep *owns* its archive — with no acknowledged progress the
+        archive restarts from byte 0.  The count returned is the records
+        written by *this* call — a resumed run reports the remainder.
+
+        The sink is left open — close it (or use ``with``) at the call
+        site; spilling sinks only complete their on-disk archive on close.
         """
         if isinstance(sweep, str):
             sweep = self.preset(sweep)
@@ -1160,8 +1165,7 @@ class Session:
                 sink.write_many(records)
                 total += len(records)
                 if ckpt is not None:
-                    _flush_sink(sink)  # progress must never outrun the archive
-                    ckpt.update(done + stop, archive_bytes=_sink_position(sink))
+                    _acknowledge(sink, ckpt, done + stop)
         if ckpt is not None:
             ckpt.complete()
         return total

@@ -25,7 +25,7 @@ worker's stdio, one reply line per request line.
   ``N``;
 * EOF on stdin ends the worker.
 
-Host endpoint strings (:func:`run_hosts`):
+Host endpoint strings (``ExecutorSpec(name="hosts", hosts=...)``):
 
 * ``"local"`` — spawn ``sys.executable -m repro worker`` here (the
   degenerate cross-host case; what CI's hosts-smoke and the
@@ -52,6 +52,7 @@ for a subprocess worker, the last lines of its stderr.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import os
 import pickle
@@ -62,12 +63,12 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import Future
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 from repro.errors import RemoteError
 from repro.runtime.diskcache import cache_version
 
-__all__ = ["run_hosts", "worker_main"]
+__all__ = ["HostPumps", "worker_main"]
 
 
 def _emit(stream: IO[str], reply: Mapping) -> None:
@@ -300,16 +301,19 @@ def _open_host(host: str):
 # -- the pump plane --------------------------------------------------------------
 
 
-class _HostPumps:
-    """One pump thread per host endpoint, all fed from one chunk queue.
-
-    :meth:`submit` queues a chunk and returns the future of its reply.
-    A pump stops only when :meth:`close` ends the sweep or its own host
-    fails, putting a claimed chunk back for a live host to steal; when
-    the last host fails, every queued chunk's future fails instead.
+class HostPumps:
+    """One pump thread per host endpoint, all fed from one chunk queue
+    (see the module docstring); the engine's ``hosts`` backend drains
+    the reply futures :meth:`submit` returns in spec order, and
+    :meth:`close` ends the sweep.  ``warm_state`` (the engine's worker
+    warm state, or ``None``) primes every subprocess/SSH worker first.
     """
 
-    def __init__(self, hosts: Sequence[str], encoded_state: str | None) -> None:
+    def __init__(self, hosts: Sequence[str], warm_state: dict | None) -> None:
+        encoded_state = None
+        if warm_state is not None:
+            blob = pickle.dumps(warm_state, protocol=pickle.HIGHEST_PROTOCOL)
+            encoded_state = base64.b64encode(blob).decode("ascii")
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._alive = len(hosts)
@@ -360,7 +364,7 @@ class _HostPumps:
             handle = _open_host(host)
             if encoded_state is not None:
                 handle.warm(encoded_state)
-            while True:
+            for seq in itertools.count(1):
                 item = self._queue.get()
                 if item is None:
                     return
@@ -371,7 +375,7 @@ class _HostPumps:
                     self._queue.put(item)  # for a live host to steal
                     raise
                 future.set_result(
-                    {"records": records, "cache_stats": cache_stats, "worker": slot}
+                    {"records": records, "cache_stats": cache_stats, "worker": slot, "seq": seq}
                 )
         except Exception as exc:  # this host is out; the others carry on
             with self._lock:
@@ -383,45 +387,3 @@ class _HostPumps:
         finally:
             if handle is not None:
                 handle.close()
-
-
-def run_hosts(
-    specs: Sequence,
-    hosts: Sequence[str],
-    *,
-    batch_size: int | None = None,
-    warm_cache: bool = False,
-    stats: dict | None = None,
-) -> Iterator[tuple[int, tuple]]:
-    """The hosts backend: ``(stop, records)`` per chunk of ``specs``, in
-    spec order.
-
-    Chunks follow the engine's chunk rule over ``len(hosts)`` workers
-    and come back through its in-order drain, at most ``2 * len(hosts)``
-    out at a time.  Which *host* ran a chunk is the only nondeterminism,
-    and it cannot reach the records (they are pure functions of the
-    specs).  ``warm_cache`` ships the engine's worker warm state to every
-    subprocess/SSH worker before its first chunk; ``stats`` (optional
-    dict) receives the merged per-host cache statistics at the end.
-    """
-    from repro.experiment.engine import DEFAULT_BATCH_SIZE, _drain, _spec_chunks
-    from repro.experiment.engine import _worker_warm_state
-
-    specs = tuple(specs)
-    if not hosts:
-        raise RemoteError("the hosts executor needs at least one host endpoint")
-    bounds = _spec_chunks(len(specs), batch_size or DEFAULT_BATCH_SIZE, len(hosts))
-    if not bounds:
-        return
-    encoded_state = None
-    if warm_cache:
-        encoded_state = base64.b64encode(
-            pickle.dumps(_worker_warm_state(specs), protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
-    pumps = _HostPumps(hosts, encoded_state)
-    try:
-        yield from _drain(
-            specs, bounds, pumps.submit, len(hosts), {} if stats is None else stats
-        )
-    finally:
-        pumps.close()

@@ -274,6 +274,28 @@ def test_workers_follow_the_affinity_mask(monkeypatch):
     assert Engine("parallel").workers == 1
 
 
+def test_serial_session_streams_without_a_shared_cache():
+    """A serial session's ``sweep_into`` runs the reference path: no
+    shared cache, so ``stats`` stays empty and ``warm_cache`` is refused
+    rather than dropped; a batch session reports its one cache."""
+    from repro.experiment import MemorySink
+    from repro.experiment.engine import Engine
+
+    specs = tuple(SWEEPS["plain_grid"])
+    serial, batch = MemorySink(), MemorySink()
+    serial_stats: dict = {}
+    batch_stats: dict = {}
+    Session().sweep_into(specs, serial, stats=serial_stats)
+    Session(executor="batch").sweep_into(specs, batch, stats=batch_stats)
+    assert serial.recordset().to_json() == batch.recordset().to_json()
+    assert serial_stats == {}
+    assert len(batch_stats["workers"]) == 1
+    with pytest.raises(SolvabilityError, match="warm_cache"):
+        Engine("serial", warm_cache=True)
+    with pytest.raises(SolvabilityError, match="warm_cache"):
+        Session().sweep_into(specs, MemorySink(), warm_cache=True)
+
+
 def test_drain_holds_at_most_two_chunks_per_worker_undrained():
     """The out-of-process drain never runs more than ``2 * workers``
     chunks ahead of the consumer, and yields them in spec order."""
@@ -453,48 +475,47 @@ class TestHostsExecutor:
 
     def test_chunk_put_back_after_the_queue_ran_dry_is_stolen(self, monkeypatch):
         """A host dying mid-chunk after the live host has drained the
-        queue still gets its chunk finished by the live host."""
+        queue still gets its chunk finished by the live host, and the
+        merged cache stats are that host's newest running totals."""
         import threading
 
         import repro.runtime.remote as remote
         from repro.errors import RemoteError
-        from repro.experiment.engine import execute_spec
+        from repro.experiment.engine import Engine, _run_chunk
 
-        specs = tuple(SWEEPS["plain_grid"])
+        specs = tuple(SWEEPS["plain_grid"])[:2]  # two one-spec chunks
         bad_claimed, good_closed = threading.Event(), threading.Event()
+        newest: list[dict] = []  # the good host's totals after its last chunk
 
         class FakeHost:
             def __init__(self, host):
-                self.host = host
+                self.host, self.cache = host, ExecutionCache()
+                if host == "good":
+                    bad_claimed.wait(timeout=5.0)  # "bad" claims chunk 0
 
             def warm(self, state):
                 pass
 
-            def run_chunk(self, task_id, spec_dicts):
+            def run_chunk(self, start, spec_dicts):
                 if self.host == "bad":
                     bad_claimed.set()
                     # Die once "good" has seen an empty queue and stopped
                     # (or after a grace period, if it keeps waiting).
                     good_closed.wait(timeout=1.0)
                     raise RemoteError("bad died mid-chunk")
-                bad_claimed.wait(timeout=5.0)
-                records = [
-                    record.to_dict()
-                    for data in spec_dicts
-                    for record in execute_spec(ScenarioSpec.from_dict(data))
-                ]
-                return records, {}
+                reply = _run_chunk(self.cache, spec_dicts)
+                newest[:] = [reply["cache_stats"]]
+                return reply["records"], reply["cache_stats"]
 
             def close(self):
                 if self.host == "good":
                     good_closed.set()
 
         monkeypatch.setattr(remote, "_open_host", FakeHost)
-        chunks = list(remote.run_hosts(specs, ["bad", "good"]))
-        records = [record for _, chunk in chunks for record in chunk]
-        assert [r.to_dict() for r in records] == [
-            r.to_dict() for r in SESSION.sweep(specs).records
-        ]
+        result = Engine("hosts", hosts=("bad", "good")).run_sweep(specs)
+        assert result.to_json() == SESSION.sweep(specs).to_json()
+        # Chunk 0 ran last (stolen) but drains first: its totals still win.
+        assert result.cache_stats["workers"] == newest
 
     def test_failure_names_host_chunk_and_stderr(self):
         import shlex
@@ -515,12 +536,15 @@ class TestHostsExecutor:
 
     def test_https_endpoint_rejected(self):
         from repro.errors import RemoteError
-        from repro.runtime.remote import _open_host, run_hosts
+        from repro.runtime.remote import _open_host
 
         with pytest.raises(RemoteError, match="TLS is unsupported"):
             _open_host("https://127.0.0.1:8642")
         with pytest.raises(RemoteError, match=r"chunk specs 0\.\..*https://"):
-            list(run_hosts(tuple(SWEEPS["plain_grid"]), ["https://127.0.0.1:8642"]))
+            SESSION.sweep(
+                SWEEPS["plain_grid"],
+                executor=ExecutorSpec(name="hosts", hosts=("https://127.0.0.1:8642",)),
+            )
 
     def test_hosts_reject_tracing(self):
         with pytest.raises(SolvabilityError, match="structured tracing"):

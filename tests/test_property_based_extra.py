@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core.verdict import check_bsm
 from repro.ids import all_parties, left_side, right_side
+from repro.matching.enumerate_stable import all_stable_matchings
 from repro.matching.gale_shapley import gale_shapley
 from repro.matching.generators import random_incomplete_profile, random_profile
 from repro.matching.incomplete import gale_shapley_incomplete, is_stable_incomplete
+from repro.matching.lattice import dominates, lattice_join, lattice_meet
 from repro.matching.metrics import blocking_pair_count, divorce_distance
 from tests.helpers import synthetic_result
 
@@ -50,6 +52,28 @@ class TestIncompleteProperties:
 
 
 class TestLatticeProperties:
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_join_meet_laws(self, k, seed):
+        profile = random_profile(k, seed)
+        stable = all_stable_matchings(profile)
+        for a in stable:
+            for b in stable:
+                join = lattice_join(a, b, profile)
+                meet = lattice_meet(a, b, profile)
+                # commutativity
+                assert join == lattice_join(b, a, profile)
+                assert meet == lattice_meet(b, a, profile)
+                # domination structure
+                assert dominates(join, a, profile) and dominates(join, b, profile)
+                assert dominates(a, meet, profile) and dominates(b, meet, profile)
+                # absorption
+                assert lattice_join(a, meet, profile) == a
+                assert lattice_meet(a, join, profile) == a
+
     @given(
         st.integers(min_value=2, max_value=4),
         st.integers(min_value=0, max_value=10**6),

@@ -38,6 +38,7 @@ class TestModuleDocstrings:
         "repro.matching.stability",
         "repro.matching.enumerate_stable",
         "repro.matching.incomplete",
+        "repro.matching.lattice",
         "repro.matching.metrics",
         "repro.matching.roommates",
         "repro.matching.generators",
