@@ -17,7 +17,8 @@ Layering:
   (:mod:`repro.runtime.remote`); and a *consumer* collects a
   :class:`~repro.experiment.records.RunRecordSet`, writes a sink with a
   checkpoint update per chunk (:func:`sweep_into`), or yields the
-  chunks (:func:`stream_sweep`).  Out-of-process workers run chunks
+  chunks (:func:`stream_sweep`, which can also run them on a pool its
+  caller owns — the service's).  Out-of-process workers run chunks
   through one worker-side function (:func:`_run_chunk`), so output is
   byte-identical whichever backend ran it;
 * :class:`Engine` — batch execution plus adaptive sweeps (run, refine,
@@ -721,6 +722,18 @@ def _pool_chunk(spec_dicts: list[dict]) -> dict:
     return dict(_run_chunk(_POOL_CACHE, spec_dicts), worker=os.getpid(), seq=next(_POOL_SEQ))
 
 
+def _fresh_chunk(spec_dicts: list[dict], state: dict | None) -> dict:
+    """Task on a caller's long-lived pool: one chunk over a cache of its
+    own (primed with ``state``), so worker memory does not grow with the
+    pool's uptime.  Each chunk's cache is its own ``worker``, so
+    :func:`_drain` sums every chunk's statistics."""
+    cache = ExecutionCache()
+    if state is not None:
+        _prime_worker(cache, state)
+    seq = next(_POOL_SEQ)
+    return dict(_run_chunk(cache, spec_dicts), worker=(os.getpid(), seq), seq=seq)
+
+
 # -- backends: each yields ``(stop, records)`` per chunk, in spec order --------
 
 
@@ -752,10 +765,10 @@ def _drain(specs, bounds, submit: Callable, workers: int, stats: dict) -> _Chunk
 
     ``submit(start, spec_dicts)`` hands one chunk to one of ``workers``
     workers and returns a future of its :func:`_run_chunk` reply, tagged
-    with the ``worker`` that ran it and ``seq``, the chunk's place in
-    that worker's run order.  Chunks are yielded strictly in spec order,
-    with at most ``2 * workers`` submitted but undrained.  Each reply
-    carries its worker's running cache totals; the newest per worker
+    with the ``worker`` whose cache ran it and ``seq``, the chunk's place
+    in that cache's run order.  Chunks are yielded strictly in spec
+    order, with at most ``2 * workers`` submitted but undrained.  Each
+    reply carries its cache's running totals; the newest per worker
     (highest ``seq`` — a stolen chunk runs after later ones) is merged
     into ``stats``.
     """
@@ -780,18 +793,24 @@ def _drain(specs, bounds, submit: Callable, workers: int, stats: dict) -> _Chunk
     stats.update(merge_cache_stats([newest for _, newest in per_worker.values()]))
 
 
-def _pool_chunks(specs, bounds, workers: int, warm_cache: bool, stats) -> _Chunks:
+def _pool_chunks(specs, bounds, workers: int, warm_cache: bool, stats, pool=None) -> _Chunks:
     """The pool backend: a ``workers``-sized process pool feeding
-    :func:`_drain`, each worker primed once with the warm state."""
+    :func:`_drain`, each worker primed once with the warm state — or a
+    caller's long-lived ``pool``, where every chunk runs over a fresh
+    cache primed with it (:func:`_fresh_chunk`)."""
     state = _worker_warm_state(specs) if warm_cache else None
-    pool = concurrent.futures.ProcessPoolExecutor(
+    if pool is not None:
+        submit = lambda start, payload: pool.submit(_fresh_chunk, payload, state)
+        yield from _drain(specs, bounds, submit, workers, stats)
+        return
+    own = concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_pool_init, initargs=(state,)
     )
-    submit = lambda start, payload: pool.submit(_pool_chunk, payload)
+    submit = lambda start, payload: own.submit(_pool_chunk, payload)
     try:
         yield from _drain(specs, bounds, submit, workers, stats)
     finally:
-        pool.shutdown(cancel_futures=True)
+        own.shutdown(cancel_futures=True)
 
 
 def _hosts_chunks(specs, bounds, hosts, warm_cache: bool, stats) -> _Chunks:
@@ -819,6 +838,7 @@ def stream_sweep(
     warm_cache: bool = False,
     stats: dict | None = None,
     sink=None,
+    pool=None,
 ) -> Iterable[tuple[RunRecord, ...]]:
     """Execute a sweep on the parallel plane and *yield* record chunks
     in spec order, each as soon as it and every chunk before it are done,
@@ -829,10 +849,14 @@ def stream_sweep(
     :class:`~repro.experiment.sinks.RecordSink`) receives each chunk via
     ``write_many`` before it is yielded, so a caller that only wants the
     sink's view can just drain the generator (the service plane does);
-    the sink is not closed here.
+    the sink is not closed here.  ``pool`` (anything with a
+    ``concurrent.futures``-style ``submit``, such as the service's
+    worker pool) runs every chunk, each over a fresh cache, instead of a
+    pool of this call's own; ``workers`` still sets the chunk rule and
+    the in-flight window, and one means ``DEFAULT_BATCH_SIZE`` chunks.
     """
     engine = Engine("parallel", workers=workers, warm_cache=warm_cache)
-    with contextlib.closing(engine._chunks(tuple(specs), stats=stats)) as chunks:
+    with contextlib.closing(engine._chunks(tuple(specs), stats=stats, pool=pool)) as chunks:
         for _, records in chunks:
             if sink is not None:
                 sink.write_many(records)
@@ -944,13 +968,14 @@ class Engine:
         self.hosts = tuple(hosts) if hosts else None
 
     def _chunks(
-        self, specs, *, batch_size=DEFAULT_BATCH_SIZE, trace=None, stats=None
+        self, specs, *, batch_size=DEFAULT_BATCH_SIZE, trace=None, stats=None, pool=None
     ) -> _Chunks:
         """The execution core: ``(stop, records)`` per chunk of ``specs``,
         in spec order, on the backend the executor picks (see the module
-        docstring).  ``stats`` (optional dict) receives the merged cache
-        statistics after the last chunk; ``serial`` shares no cache and
-        leaves it untouched.
+        docstring), or on a caller's long-lived ``pool`` (see
+        :func:`stream_sweep`).  ``stats`` (optional dict) receives the
+        merged cache statistics after the last chunk; ``serial`` shares no
+        cache and leaves it untouched.
         """
         stats = {} if stats is None else stats
         hosts = self.hosts if self.executor == "hosts" and self.hosts else ()
@@ -958,8 +983,8 @@ class Engine:
         bounds = _spec_chunks(len(specs), batch_size, workers)
         if hosts:
             return _hosts_chunks(specs, bounds, hosts, self.warm_cache, stats)
-        if workers > 1:
-            return _pool_chunks(specs, bounds, workers, self.warm_cache, stats)
+        if pool is not None or workers > 1:
+            return _pool_chunks(specs, bounds, workers, self.warm_cache, stats, pool)
         batched = self.executor != "serial"
         return _inline_chunks(specs, bounds, batched, self.warm_cache, trace, stats)
 

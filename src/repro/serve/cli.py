@@ -27,7 +27,10 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--port", type=int, default=8642, help="0 picks a free port (printed on boot)"
     )
     parser.add_argument(
-        "--max-inflight", type=int, default=4, help="concurrent executions"
+        "--max-inflight",
+        type=int,
+        default=4,
+        help="concurrent executions (also the worker-pool size)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=16, help="requests allowed to wait for a slot"
@@ -57,7 +60,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--sweep-workers",
         type=int,
         default=None,
-        help="pool size for the parallel sweep plane (default: the usable cores)",
+        help="workers the parallel sweep plane spreads a sweep's chunks over "
+        "(default: the usable cores)",
     )
     parser.add_argument(
         "--probe",

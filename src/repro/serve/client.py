@@ -47,6 +47,8 @@ def request(
     """Issue one request and read the complete response.
 
     ``body`` is JSON-encoded when it is not already ``bytes``/``None``.
+    A connection closed before any response byte raises
+    :class:`ConnectionError`.
     """
     if body is None:
         payload = b""
@@ -74,6 +76,8 @@ def request(
                 break
             chunks.append(chunk)
     raw = b"".join(chunks)
+    if not raw:
+        raise ConnectionError(f"{method} {path}: connection closed without a response")
     header_blob, _, rest = raw.partition(b"\r\n\r\n")
     header_lines = header_blob.decode("latin-1").split("\r\n")
     status = int(header_lines[0].split()[1])

@@ -2,13 +2,13 @@
 
 A :class:`ServiceConfig` pins everything the matching service plane
 needs to boot: the listen address, the admission-control envelope
-(queue bound, in-flight bound, per-request spec-size limit), the
-execution planes sweeps and single runs dispatch onto
-(:class:`~repro.experiment.spec.ExecutorSpec` — parallel for sweeps,
-batch for singles, by default), the job-table capacity, and the
-graceful-shutdown drain budget.  Like every spec in this codebase it is
-JSON-round-trippable, so a deployment can archive the exact envelope a
-service ran with next to the records it served.
+(queue bound, in-flight bound, which also sizes the worker pool, and
+per-request spec-size limit), the execution planes sweeps and single
+runs use inside the workers (:class:`~repro.experiment.spec.ExecutorSpec`
+— parallel for sweeps, batch for singles, by default), the job-table
+capacity, and the graceful-shutdown drain budget.  Like every spec in
+this codebase it is JSON-round-trippable, so a deployment can archive
+the exact envelope a service ran with next to the records it served.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ class ServiceConfig:
     """The service plane's knobs, fully declarative.
 
     Admission semantics (see :mod:`repro.serve.admission`): at most
-    ``max_inflight`` requests execute concurrently; up to ``max_queue``
-    more wait for a slot; anything beyond that is shed with ``503`` and
-    a ``Retry-After: retry_after_seconds`` header.  Request bodies over
-    ``max_spec_bytes`` are rejected with ``413`` before being read.
-    ``drain_seconds`` bounds how long a graceful shutdown waits for
-    in-flight work before closing anyway.
+    ``max_inflight`` requests execute concurrently, on a pool of as many
+    worker processes that lives as long as the service; up to
+    ``max_queue`` more wait for a slot; anything beyond that is shed
+    with ``503`` and a ``Retry-After: retry_after_seconds`` header.
+    Request bodies over ``max_spec_bytes`` are rejected with ``413``
+    before being read.  ``drain_seconds`` bounds how long a graceful
+    shutdown waits for in-flight work before closing anyway (workers
+    still busy then are terminated).
     """
 
     host: str = "127.0.0.1"
@@ -44,11 +46,15 @@ class ServiceConfig:
     jobs_capacity: int = 64
     retry_after_seconds: int = 1
     drain_seconds: float = 10.0
-    #: The plane ``POST /v1/sweep`` (and sweep jobs) dispatch onto.
+    #: How ``POST /v1/sweep`` chunks a sweep over the worker pool:
+    #: ``batch`` (chunks of up to ``DEFAULT_BATCH_SIZE`` specs) or
+    #: ``parallel`` (the pool's chunk rule over ``workers``, default the
+    #: usable cores).  A sweep job runs whole in one worker, batched.
     sweep_executor: ExecutorSpec = field(
         default_factory=lambda: ExecutorSpec(name="parallel")
     )
-    #: The plane ``POST /v1/run`` (and single-spec jobs) dispatch onto.
+    #: The in-process plane ``POST /v1/run`` (and single-spec jobs) run
+    #: on inside a worker.
     run_executor: ExecutorSpec = field(default_factory=lambda: ExecutorSpec(name="batch"))
 
     def __post_init__(self) -> None:

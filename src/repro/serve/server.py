@@ -21,24 +21,41 @@ backend.  It is a stdlib-only asyncio server (hand-rolled HTTP via
 
 Every execution request passes the
 :class:`~repro.serve.admission.AdmissionController` (overload sheds
-with ``503`` + ``Retry-After``) and then dispatches onto the existing
-executors via the config's :class:`~repro.experiment.spec.ExecutorSpec`
-planes — parallel for sweeps, batch for singles — inside a thread pool
-sized to ``max_inflight``.  Graceful shutdown stops admitting, drains
-in-flight work (bounded by ``drain_seconds``), then closes.
+with ``503`` + ``Retry-After``) and then runs on the service's worker
+pool: ``max_inflight`` processes, forked once by
+:meth:`MatchingService.start` before the listener accepts and joined by
+:meth:`MatchingService.stop`.  ``/v1/run`` and both job kinds are one
+pool task each, on the config's in-process planes (``run_executor`` for
+single specs, batch for sweep jobs); ``/v1/sweep`` is cut into the
+engine's chunks (``DEFAULT_BATCH_SIZE`` specs on the batch plane, the
+pool's chunk rule on the parallel one), which
+:func:`~repro.experiment.engine.stream_sweep` runs on the same pool and
+drains in spec order.  Every task runs over a fresh
+:class:`~repro.runtime.ExecutionCache` — the per-request scope of the
+in-process batch plane — so replies are byte-identical to in-process
+records and worker memory does not grow with uptime.  A worker that
+dies breaks the pool: the requests it held fail (``500``, or a
+truncated sweep stream) and the next request runs on a fresh pool.
+Graceful shutdown stops admitting, drains in-flight work (bounded by
+``drain_seconds``), then closes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import gc
+import os
+import signal
+import stat
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from typing import Sequence
 
 from repro.errors import ReproError
-from repro.experiment.engine import Session, stream_sweep
+from repro.experiment.engine import Engine, stream_sweep
 from repro.experiment.lattice_tags import stamp_lattice_positions
-from repro.experiment.records import RunRecordSet
 from repro.experiment.sinks import StreamSink
 from repro.experiment.spec import ScenarioSpec, Sweep
 from repro.io import records_ndjson_header
@@ -86,9 +103,97 @@ def _parse_sweep(data: object) -> Sweep:
         raise HttpError(400, "bad_sweep", f"not a valid Sweep: {exc}")
 
 
-def _execute_records(session: Session, sweep: Sweep) -> RunRecordSet:
-    """Thread-pool entry point: run a (possibly single-spec) sweep."""
-    return session.sweep(sweep)
+def _execute_records(
+    engine: Engine, specs: Sequence[ScenarioSpec], lattice: bool = False
+) -> dict:
+    """Worker-pool task: run ``specs`` on an in-process ``engine`` (its
+    batch plane builds a fresh cache per call), stamping lattice
+    positions when asked; returns the JSON-ready records, the elapsed
+    seconds and the cache statistics."""
+    records = engine.run_sweep(specs)
+    if lattice:
+        records = stamp_lattice_positions(specs[0], records)
+    return {
+        "records": [record.to_dict() for record in records],
+        "elapsed_seconds": records.elapsed_seconds,
+        "cache_stats": records.cache_stats,
+    }
+
+
+def _worker_init() -> None:
+    """Worker-pool initializer: leave the server's sockets and SIGINT alone.
+
+    A forked worker inherits every descriptor the server holds, and a
+    client connection a worker still holds never sees EOF when the
+    server closes it — which is how a streamed sweep ends.  Each
+    inherited socket is pointed at ``/dev/null`` (not closed, so the
+    copied socket objects can never close a reused descriptor).  SIGINT
+    is ignored, since the server drives shutdown, and SIGTERM, which the
+    server may have routed to its event loop, terminates again.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no procfs to list descriptors with
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:  # closed since the listing
+            pass
+    os.close(null)
+
+
+class _WorkerPool:
+    """The service's worker processes: one process pool of ``size``
+    workers, forked on construction and replaced when a dead worker has
+    broken it (a pool with a dead worker fails everything it held)."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._lock = threading.Lock()
+        self._executor = self._fork()
+
+    def _fork(self) -> concurrent.futures.ProcessPoolExecutor:
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.size, initializer=_worker_init
+        )
+        # Frozen objects stay out of the workers' collections, so the
+        # pages they inherit stay shared with the server.
+        gc.freeze()
+        try:
+            executor.submit(int)  # the first task starts the workers
+        finally:
+            gc.unfreeze()
+        return executor
+
+    def submit(self, fn, /, *args) -> concurrent.futures.Future:
+        """Run ``fn(*args)`` on a worker.  A broken pool is replaced
+        first: the task has not started, so the new pool may run it."""
+        with self._lock:
+            try:
+                return self._executor.submit(fn, *args)
+            except BrokenProcessPool:
+                self._executor.shutdown()
+                self._executor = self._fork()
+                return self._executor.submit(fn, *args)
+
+    def pids(self) -> tuple[int, ...]:
+        """The current pool's worker process ids."""
+        with self._lock:
+            return tuple(self._executor._processes or ())
+
+    def shutdown(self, kill: bool = False) -> None:
+        """Stop and join the workers; ``kill`` terminates them first, so
+        work still running is abandoned rather than waited for."""
+        with self._lock:
+            if kill:
+                for process in tuple((self._executor._processes or {}).values()):
+                    process.terminate()
+            self._executor.shutdown(cancel_futures=True)
 
 
 class MatchingService:
@@ -101,9 +206,10 @@ class MatchingService:
         )
         self.jobs = JobTable(self.config.jobs_capacity)
         self.stats = ServiceStats()
-        self._run_session = Session(executor=self.config.run_executor)
-        self._sweep_session = Session(executor=self.config.sweep_executor)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
+        #: Where every execution runs (forked by :meth:`start`).
+        self.workers: _WorkerPool | None = None
+        # Threads only wait: a sweep stream drains its chunks on one.
+        self._threads = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.max_inflight, thread_name_prefix="repro-serve"
         )
         self._server: asyncio.base_events.Server | None = None
@@ -115,10 +221,16 @@ class MatchingService:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind and start accepting (resolves port 0 to the real port)."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
+        """Fork the worker pool, then bind and start accepting (resolves
+        port 0 to the real port).  A failed bind joins the pool again."""
+        self.workers = _WorkerPool(self.config.max_inflight)
+        try:
+            self._server = await asyncio.start_server(
+                self._on_connection, self.config.host, self.config.port
+            )
+        except BaseException:
+            self.workers.shutdown()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self, drain: bool = True) -> None:
@@ -127,12 +239,15 @@ class MatchingService:
         With ``drain=True`` (the default) in-flight requests — including
         a sweep mid-stream — finish and flush before the listener's
         connections are torn down, bounded by ``config.drain_seconds``.
+        The worker pool is joined last; workers still busy past the
+        budget (or on ``drain=False``) are terminated first.
         """
         if self._server is not None:
             self._server.close()
         self.admission.start_draining()
+        drained = False
         if drain:
-            await self.admission.drain(self.config.drain_seconds)
+            drained = await self.admission.drain(self.config.drain_seconds)
             if self._job_tasks:
                 await asyncio.wait(
                     tuple(self._job_tasks), timeout=self.config.drain_seconds
@@ -143,7 +258,9 @@ class MatchingService:
             writer.close()
         if self._server is not None:
             await self._server.wait_closed()
-        self._pool.shutdown(wait=False)
+        if self.workers is not None:
+            self.workers.shutdown(kill=not drained)
+        self._threads.shutdown(wait=False)
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -277,6 +394,19 @@ class MatchingService:
     def _overloaded(self, exc: Overloaded) -> HttpError:
         return HttpError(503, "overloaded", str(exc))
 
+    async def _execute(self, engine: Engine, specs: tuple, lattice: bool = False) -> dict:
+        """One execution as one worker-pool task (see :func:`_execute_records`)."""
+        assert self.workers is not None  # start() forks the pool
+        try:
+            reply = await asyncio.wrap_future(
+                self.workers.submit(_execute_records, engine, specs, lattice)
+            )
+        except BrokenProcessPool as exc:
+            raise HttpError(500, "worker_died", f"a service worker died: {exc}")
+        self.stats.observe_cache(reply["cache_stats"])
+        self.stats.records_served += len(reply["records"])
+        return reply
+
     async def _handle_run(self, request: Request, writer: asyncio.StreamWriter) -> int:
         spec = _parse_spec(request.json())
         lattice = _query_flag(request.query, "lattice")
@@ -285,20 +415,11 @@ class MatchingService:
         except Overloaded as exc:
             raise self._overloaded(exc)
         try:
-            loop = asyncio.get_running_loop()
-            records = await loop.run_in_executor(
-                self._pool, _execute_records, self._run_session, Sweep.of(spec)
-            )
-            if lattice:
-                records = await loop.run_in_executor(
-                    self._pool, stamp_lattice_positions, spec, records
-                )
-            self.stats.observe_cache(records.cache_stats)
-            self.stats.records_served += len(records)
+            reply = await self._execute(Engine(self.config.run_executor), (spec,), lattice)
             payload = {
-                "records": [record.to_dict() for record in records],
-                "count": len(records),
-                "elapsed_seconds": round(records.elapsed_seconds, 6),
+                "records": reply["records"],
+                "count": len(reply["records"]),
+                "elapsed_seconds": round(reply["elapsed_seconds"], 6),
             }
             writer.write(json_response(200, payload, close=not request.keep_alive))
             await writer.drain()
@@ -316,9 +437,10 @@ class MatchingService:
             raise self._overloaded(exc)
         try:
             executor = self.config.sweep_executor
-            # The batch plane streams in-process chunks; parallel streams
-            # the pool's chunks in spec order (stream_sweep is the
-            # engine's chunked core, so records are byte-identical).
+            # Both planes stream the worker pool's chunks in spec order:
+            # batch-sized chunks on the batch plane, the pool's chunk rule
+            # on parallel (stream_sweep is the engine's chunked core, so
+            # records are byte-identical).
             workers = 1 if executor.name == "batch" else executor.workers
             loop = asyncio.get_running_loop()
             queue: asyncio.Queue = asyncio.Queue()
@@ -342,6 +464,7 @@ class MatchingService:
                         warm_cache=executor.warm_cache,
                         stats=stats,
                         sink=sink,
+                        pool=self.workers,
                     ):
                         pass
                     sink.close()
@@ -356,7 +479,7 @@ class MatchingService:
                 + records_ndjson_header().encode("utf-8")
             )
             await writer.drain()
-            future = loop.run_in_executor(self._pool, producer)
+            future = loop.run_in_executor(self._threads, producer)
             while True:
                 kind, payload = await queue.get()
                 if kind == "chunk":
@@ -368,9 +491,9 @@ class MatchingService:
                 else:
                     # Status already sent: all we can do is truncate the
                     # stream (EOF-delimited, so the client sees a short
-                    # body) and record the failure.
+                    # body) and count the failure.
                     await future
-                    raise payload
+                    return 500
             self.stats.observe_cache(await future)
         finally:
             self.admission.release()
@@ -385,17 +508,20 @@ class MatchingService:
                 400, "bad_job", "job submissions carry exactly one of 'spec' or 'sweep'"
             )
         if "spec" in data:
-            kind, session = "run", self._run_session
-            sweep = Sweep.of(_parse_spec(data["spec"]))
+            kind, engine = "run", Engine(self.config.run_executor)
+            specs = (_parse_spec(data["spec"]),)
         else:
-            kind, session = "sweep", self._sweep_session
-            sweep = _parse_sweep(data["sweep"])
+            # One task runs the whole sweep in one worker: batch, over
+            # one cache.
+            kind = "sweep"
+            engine = Engine("batch", warm_cache=self.config.sweep_executor.warm_cache)
+            specs = _parse_sweep(data["sweep"]).specs
         try:
             job = self.jobs.submit(kind)
         except Overloaded as exc:
             raise self._overloaded(exc)
         task = asyncio.get_running_loop().create_task(
-            self._run_job(job.id, session, sweep)
+            self._run_job(job.id, engine, specs)
         )
         self._job_tasks.add(task)
         task.add_done_callback(self._job_tasks.discard)
@@ -408,7 +534,7 @@ class MatchingService:
         )
         return 202
 
-    async def _run_job(self, job_id: str, session: Session, sweep: Sweep) -> None:
+    async def _run_job(self, job_id: str, engine: Engine, specs: tuple) -> None:
         job = self.jobs.get(job_id)
         if job is None:  # evicted while queued: nothing to record into
             return
@@ -421,13 +547,7 @@ class MatchingService:
         job.status = RUNNING
         started = time.perf_counter()
         try:
-            loop = asyncio.get_running_loop()
-            records = await loop.run_in_executor(
-                self._pool, _execute_records, session, sweep
-            )
-            self.stats.observe_cache(records.cache_stats)
-            self.stats.records_served += len(records)
-            job.records = [record.to_dict() for record in records]
+            job.records = (await self._execute(engine, specs))["records"]
             job.status = DONE
             job.elapsed_seconds = time.perf_counter() - started
         except Exception as exc:  # noqa: BLE001 — failures land on the job row

@@ -3,11 +3,12 @@
 ``GET /statz`` is assembled from here: uptime, request/error/shed
 counts per endpoint, latency percentiles, and the merged
 :class:`~repro.runtime.ExecutionCache` statistics of every sweep the
-service has executed.  Histograms use fixed exponential buckets (powers
-of two in milliseconds) so they cost O(1) per observation and a few
-dozen integers per endpoint no matter how long the service lives —
-percentiles are estimated from bucket upper bounds, which is the
-standard trade for a long-running plane.
+service has executed.  Everything is a running total: histograms use
+fixed exponential buckets (powers of two in milliseconds) so they cost
+O(1) per observation and a few dozen integers per endpoint no matter
+how long the service lives — percentiles are estimated from bucket
+upper bounds, which is the standard trade for a long-running plane —
+and cache statistics are folded into one merged view per execution.
 """
 
 from __future__ import annotations
@@ -99,38 +100,42 @@ class EndpointStats:
         }
 
 
+def _fold(stats: list[dict]) -> dict:
+    """Merged cache statistics without the per-worker breakdown, whose
+    entries (whole merged views, for a fold) would nest without bound."""
+    merged = merge_cache_stats(stats)
+    del merged["workers"]
+    return merged
+
+
 class ServiceStats:
     """Everything ``/statz`` reports, accumulated across requests."""
 
     def __init__(self) -> None:
         self.started_at = time.monotonic()
         self.endpoints: dict[str, EndpointStats] = {}
-        self._cache_stats: list[dict] = []
         self.records_served = 0
+        self.executions = 0
+        self._cache = _fold([])
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
         self.endpoints.setdefault(endpoint, EndpointStats()).observe(status, seconds)
 
     def observe_cache(self, stats: dict) -> None:
-        """Fold one execution's cache statistics into the merged view.
-
-        Incoming dicts may themselves be merged per-worker views (the
-        parallel plane); their per-worker breakdown is flattened so the
-        running list stays one entry per executed request.
-        """
+        """Fold one execution's cache statistics into the running totals
+        (an empty dict — the serial plane shares no cache — counts no
+        execution)."""
         if not stats:
             return
-        flat = {key: value for key, value in stats.items() if key != "workers"}
-        self._cache_stats.append(flat)
+        self.executions += 1
+        self._cache = _fold([self._cache, stats])
 
     def to_dict(self) -> dict:
-        merged = merge_cache_stats(self._cache_stats)
-        merged.pop("workers", None)  # one entry per request: too chatty for /statz
         return {
             "uptime_seconds": round(time.monotonic() - self.started_at, 3),
             "records_served": self.records_served,
-            "executions": len(self._cache_stats),
-            "cache": merged,
+            "executions": self.executions,
+            "cache": self._cache,
             "endpoints": {
                 name: stats.to_dict() for name, stats in sorted(self.endpoints.items())
             },

@@ -9,7 +9,11 @@ in-process.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
+import signal
+import socket
 import threading
 import time
 
@@ -23,6 +27,18 @@ from repro.serve import ServiceConfig, request, start_background
 
 SPEC = ScenarioSpec()
 SWEEP = Sweep.seeds(SPEC, range(4))
+#: About two seconds of work in one worker: long enough to be caught in
+#: flight.
+SLOW = ScenarioSpec.from_dict(
+    {
+        "adversary": {"kind": "equivocate", "seed": 1, "corrupt": "budget"},
+        "topology": "bipartite",
+        "profile": {"kind": "random", "seed": 1},
+        "k": 8,
+        "tL": 8,
+        "tR": 2,
+    }
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +113,17 @@ class TestEndpoints:
                 t.startswith("lattice_position=") for t in record["tags"]
             )
 
-    def test_sweep_stream_is_byte_identical_to_in_process(self, service):
-        response = request(
-            service.host, service.port, "POST", "/v1/sweep", SWEEP.to_dict()
+    @pytest.mark.parametrize("plane", ["batch", "parallel"])
+    def test_sweep_stream_is_byte_identical_to_in_process(self, plane):
+        handle = start_background(
+            ServiceConfig(port=0, sweep_executor=ExecutorSpec(name=plane))
         )
+        try:
+            response = request(
+                handle.host, handle.port, "POST", "/v1/sweep", SWEEP.to_dict()
+            )
+        finally:
+            handle.stop()
         assert response.status == 200
         assert response.headers["content-type"] == "application/x-ndjson"
         # The stream is EOF-delimited, so the server must close.
@@ -216,29 +239,24 @@ class TestJobs:
 
 class TestAdmission:
     def test_overload_sheds_503_with_retry_after(self):
-        # One slot, no queue: while a sweep holds the slot, anything else
-        # at the door is shed immediately.
+        # One slot, no queue: while the test itself holds the slot,
+        # anything at the door is shed immediately.
         handle = start_background(
             ServiceConfig(port=0, max_inflight=1, max_queue=0, retry_after_seconds=2)
         )
+        admission = handle.service.admission
         try:
-            big = Sweep.seeds(SPEC, range(60))
-            streamed: dict = {}
-            worker = threading.Thread(
-                target=lambda: streamed.update(
-                    response=request(
-                        handle.host, handle.port, "POST", "/v1/sweep", big.to_dict()
-                    )
-                )
-            )
-            worker.start()
-            _wait_for_inflight(handle)
-            shed = request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+            asyncio.run_coroutine_threadsafe(admission.admit(), handle._loop).result()
+            try:
+                shed = request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+            finally:
+                handle._loop.call_soon_threadsafe(admission.release)
             assert shed.status == 503
             assert shed.headers["retry-after"] == "2"
             assert shed.json()["error"]["code"] == "overloaded"
-            worker.join(timeout=60)
-            assert streamed["response"].status == 200
+            # The slot is free again: the same request now runs.
+            served = request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+            assert served.status == 200
             statz = request(handle.host, handle.port, "GET", "/statz").json()
             assert statz["admission"]["shed_queue_full"] >= 1
             assert statz["endpoints"]["/v1/run"]["shed"] >= 1
@@ -278,6 +296,169 @@ class TestAdmission:
             assert shed.status == 503
         finally:
             handle.stop()
+
+
+def _pool_pids(handle) -> tuple[int, ...]:
+    return handle.service.workers.pids()
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still exists (a zombie counts: nobody joined it)."""
+    return os.path.exists(f"/proc/{pid}")
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition never held")
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+class TestWorkerPool:
+    def test_pool_is_max_inflight_processes_and_stop_joins_them(self):
+        handle = start_background(ServiceConfig(port=0, max_inflight=3))
+        pids = _pool_pids(handle)
+        response = request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+        assert response.status == 200
+        assert len(pids) == 3 and all(_alive(pid) for pid in pids)
+        handle.stop()
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_killed_worker_fails_inflight_run_then_pool_is_replaced(self):
+        handle = start_background(ServiceConfig(port=0, max_inflight=2))
+        first = _pool_pids(handle)
+        second: tuple[int, ...] = ()
+        try:
+            replies: dict = {}
+            client = threading.Thread(
+                target=lambda: replies.update(
+                    run=request(handle.host, handle.port, "POST", "/v1/run", SLOW.to_dict())
+                )
+            )
+            client.start()
+            _wait_for_inflight(handle)
+            time.sleep(0.2)  # the task is in a worker now
+            os.kill(first[0], signal.SIGKILL)
+            client.join(timeout=60)
+            failed = replies["run"]
+            assert failed.status == 500
+            assert failed.json()["error"]["code"] == "worker_died"
+            health = request(handle.host, handle.port, "GET", "/healthz")
+            assert health.json()["status"] == "ok"
+            # The next run lands on a fresh pool and returns the
+            # in-process records.
+            response = request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+            assert response.status == 200
+            expected = Session(executor="batch").sweep(Sweep.of(SPEC))
+            assert response.json()["records"] == [record.to_dict() for record in expected]
+            second = _pool_pids(handle)
+            assert second and not set(second) & set(first)
+        finally:
+            handle.stop()
+        assert not any(_alive(pid) for pid in first + second)
+
+    def test_killed_worker_truncates_inflight_sweep(self):
+        # One-spec chunks (parallel plane, two workers): the fast specs
+        # stream before the slow ones are caught in flight.
+        handle = start_background(
+            ServiceConfig(
+                port=0, sweep_executor=ExecutorSpec(name="parallel", workers=2)
+            )
+        )
+        sweep = Sweep.of(SPEC, ScenarioSpec(k=3), *([SLOW] * 6))
+        try:
+            pids = _pool_pids(handle)
+            replies: dict = {}
+            client = threading.Thread(
+                target=lambda: replies.update(
+                    sweep=request(
+                        handle.host, handle.port, "POST", "/v1/sweep", sweep.to_dict()
+                    )
+                )
+            )
+            client.start()
+
+            def statz() -> dict:
+                return request(handle.host, handle.port, "GET", "/statz").json()
+
+            _wait_for(lambda: statz()["records_served"] >= 2)
+            os.kill(pids[0], signal.SIGKILL)
+            client.join(timeout=60)
+            response = replies["sweep"]
+            assert response.status == 200  # sent before the worker died
+            header, *lines = response.lines()
+            assert json.loads(header)["kind"] == "run-records"
+            # A short body of whole, correct records: nothing appended.
+            assert 2 <= len(lines) < len(sweep)
+            expected = Session(executor="batch").sweep(sweep.specs[: len(lines)])
+            assert lines == [record_ndjson_line(record).rstrip("\n") for record in expected]
+            assert statz()["endpoints"]["/v1/sweep"]["errors"] == 1
+            assert request(handle.host, handle.port, "GET", "/healthz").status == 200
+        finally:
+            handle.stop()
+
+    def test_stop_without_drain_terminates_busy_workers(self):
+        handle = start_background(ServiceConfig(port=0, max_inflight=1))
+        pids = _pool_pids(handle)
+
+        def client() -> None:
+            try:
+                request(handle.host, handle.port, "POST", "/v1/run", SLOW.to_dict())
+            except OSError:
+                pass  # the connection closes under it
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        _wait_for_inflight(handle)
+        started = time.monotonic()
+        handle.stop(drain=False)
+        assert time.monotonic() - started < 1.5  # the run alone takes ~2 s
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_failed_bind_leaves_no_workers(self):
+        def children() -> set[int]:
+            out = set()
+            for name in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{name}/stat") as stat:
+                        ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+                except (OSError, ValueError, IndexError):
+                    continue  # exited since the listing
+                if ppid == os.getpid():
+                    out.add(int(name))
+            return out
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            before = children()
+            with pytest.raises(OSError):
+                start_background(ServiceConfig(port=taken.getsockname()[1]))
+        assert children() <= before
+
+    def test_statz_cache_totals_match_in_process_runs(self):
+        specs = [ScenarioSpec(k=k, tL=1, tR=0) for k in (2, 3)] + [SPEC]
+        handle = start_background(ServiceConfig(port=0))
+        try:
+            for spec in specs:
+                response = request(handle.host, handle.port, "POST", "/v1/run", spec.to_dict())
+                assert response.status == 200
+            statz = request(handle.host, handle.port, "GET", "/statz").json()
+        finally:
+            handle.stop()
+        in_process = [
+            Session(executor="batch").sweep(Sweep.of(spec)).cache_stats for spec in specs
+        ]
+        assert statz["executions"] == len(specs)
+        for family in ("signatures", "verifications"):
+            served = statz["cache"][family]
+            assert served["hits"] + served["misses"] > 0
+            assert served["hits"] == sum(stats[family]["hits"] for stats in in_process)
+            assert served["misses"] == sum(stats[family]["misses"] for stats in in_process)
 
 
 class TestAdmissionController:
@@ -351,6 +532,40 @@ class TestLatencyHistogram:
             "p99_ms": 0.0,
             "buckets_ms": {},
         }
+
+
+class TestServiceStats:
+    def test_cache_totals_are_running_sums(self):
+        from repro.runtime import merge_cache_stats
+        from repro.serve.stats import ServiceStats
+
+        stats = ServiceStats()
+        fed = [
+            {
+                "signatures": {"entries": i, "hits": 2 * i, "misses": 1},
+                "verifications": {"entries": 1, "hits": i, "misses": 0},
+                "memo": {"entries": 0, "hits": 0, "misses": i % 3},
+                "encode": {"leaf_entries": i},
+                "workers": [{"signatures": {"hits": 2 * i}}],
+            }
+            for i in range(200)
+        ]
+        for entry in fed:
+            stats.observe_cache(entry)
+        stats.observe_cache({})  # no shared cache: no execution
+        data = stats.to_dict()
+        assert data["executions"] == len(fed)
+        assert data["cache"]["signatures"]["hits"] == sum(2 * i for i in range(200))
+        assert data["cache"]["signatures"]["misses"] == 200
+        assert data["cache"]["memo"]["misses"] == sum(i % 3 for i in range(200))
+        assert data["cache"]["encode"] == {"leaf_entries": sum(range(200))}
+        # The same report a merge of every request's stats gives ...
+        merged = merge_cache_stats(fed)
+        del merged["workers"]
+        assert data["cache"] == merged
+        # ... from totals alone: nothing grows with the request count.
+        assert not any(isinstance(value, (list, tuple)) for value in vars(stats).values())
+        assert "workers" not in data["cache"]
 
 
 class TestServiceConfig:
