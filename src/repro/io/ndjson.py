@@ -172,7 +172,9 @@ def iter_records_ndjson(path, *, tolerate_truncation: bool = False) -> Iterator:
     are consumed lazily, so records appended before the reader reaches
     end-of-file are yielded too.  A truncated trailing line (a writer
     caught mid-record) raises unless ``tolerate_truncation=True``, which
-    stops cleanly after the last complete record instead.
+    stops cleanly after the last complete record instead.  An
+    ``{"error": ...}`` line (a captured ``/v1/sweep`` stream the service
+    could not finish) raises :class:`~repro.errors.ReproError`.
     """
     from repro.experiment.records import RunRecord
 
@@ -194,4 +196,7 @@ def iter_records_ndjson(path, *, tolerate_truncation: bool = False) -> Iterator:
                         "record, or repair with prepare_ndjson_append()"
                     ) from exc
                 raise ReproError(f"corrupt NDJSON record line: {exc}") from exc
+            if "error" in data:
+                # How a service ends a sweep stream it could not finish.
+                raise ReproError(f"NDJSON record stream ends with an error: {data['error']}")
             yield RunRecord.from_dict(data)

@@ -65,7 +65,7 @@ import threading
 from concurrent.futures import Future
 from typing import IO, Mapping, Sequence
 
-from repro.errors import RemoteError
+from repro.errors import RemoteError, ReproError
 from repro.runtime.diskcache import cache_version
 
 __all__ = ["HostPumps", "worker_main"]
@@ -238,6 +238,7 @@ class _HttpHost:
         pass  # the service owns its session; nothing to prime remotely
 
     def run_chunk(self, start: int, spec_dicts: Sequence[dict]) -> tuple[list, dict]:
+        from repro.io.ndjson import parse_records_ndjson_header
         from repro.serve.client import request as http_request
 
         chunk = _chunk_name(start, len(spec_dicts))
@@ -258,11 +259,24 @@ class _HttpHost:
             raise RemoteError(
                 f"service {self.host!r} rejected {chunk}: HTTP {response.status}"
             )
+        lines = response.lines()
+        try:
+            parse_records_ndjson_header(lines[0] if lines else "")
+        except ReproError as exc:
+            raise RemoteError(f"service {self.host!r} answered {chunk}: {exc}") from exc
         records = []
-        for line in response.lines():
-            row = json.loads(line)
-            if isinstance(row, dict) and "scenario" in row:
-                records.append(row)
+        for line in lines[1:]:  # after the schema header
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if not isinstance(row, dict) or "scenario" not in row:
+                # A service that cannot finish a sweep ends it with an
+                # error line: the chunk goes back for a live host.
+                raise RemoteError(
+                    f"service {self.host!r} did not finish {chunk}: {line[:300]}"
+                )
+            records.append(row)
         return records, {}
 
     def close(self) -> None:

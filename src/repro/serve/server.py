@@ -34,8 +34,9 @@ drains in spec order.  Every task runs over a fresh
 :class:`~repro.runtime.ExecutionCache` — the per-request scope of the
 in-process batch plane — so replies are byte-identical to in-process
 records and worker memory does not grow with uptime.  A worker that
-dies breaks the pool: the requests it held fail (``500``, or a
-truncated sweep stream) and the next request runs on a fresh pool.
+dies breaks the pool: the requests it held fail (``500``, or a sweep
+stream that ends in an error line) and the next request runs on a
+fresh pool.
 Graceful shutdown stops admitting, drains in-flight work (bounded by
 ``drain_seconds``), then closes.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import gc
+import json
 import os
 import signal
 import stat
@@ -120,6 +122,13 @@ def _execute_records(
     }
 
 
+def _failure(exc: BaseException) -> HttpError:
+    """The structured ``500`` for an execution that raised ``exc``."""
+    if isinstance(exc, BrokenProcessPool):
+        return HttpError(500, "worker_died", f"a service worker died: {exc}")
+    return HttpError(500, "internal", repr(exc))
+
+
 def _worker_init() -> None:
     """Worker-pool initializer: leave the server's sockets and SIGINT alone.
 
@@ -172,7 +181,9 @@ class _WorkerPool:
 
     def submit(self, fn, /, *args) -> concurrent.futures.Future:
         """Run ``fn(*args)`` on a worker.  A broken pool is replaced
-        first: the task has not started, so the new pool may run it."""
+        first: the task has not started, so the new pool may run it.
+        Replacing joins and forks processes, so call this off the event
+        loop."""
         with self._lock:
             try:
                 return self._executor.submit(fn, *args)
@@ -180,6 +191,18 @@ class _WorkerPool:
                 self._executor.shutdown()
                 self._executor = self._fork()
                 return self._executor.submit(fn, *args)
+
+    def submit_nowait(self, fn, /, *args) -> concurrent.futures.Future | None:
+        """:meth:`submit` for the event loop: ``None``, instead of
+        waiting, when the pool is broken or another thread holds it."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self._executor.submit(fn, *args)
+        except BrokenProcessPool:
+            return None
+        finally:
+            self._lock.release()
 
     def pids(self) -> tuple[int, ...]:
         """The current pool's worker process ids."""
@@ -208,7 +231,8 @@ class MatchingService:
         self.stats = ServiceStats()
         #: Where every execution runs (forked by :meth:`start`).
         self.workers: _WorkerPool | None = None
-        # Threads only wait: a sweep stream drains its chunks on one.
+        # Threads only submit and wait: a sweep stream drains its chunks
+        # on one, and a run whose pool needs replacing is submitted from one.
         self._threads = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.max_inflight, thread_name_prefix="repro-serve"
         )
@@ -395,14 +419,23 @@ class MatchingService:
         return HttpError(503, "overloaded", str(exc))
 
     async def _execute(self, engine: Engine, specs: tuple, lattice: bool = False) -> dict:
-        """One execution as one worker-pool task (see :func:`_execute_records`)."""
+        """One execution as one worker-pool task (see :func:`_execute_records`).
+
+        A healthy pool takes the task right here; otherwise it is
+        submitted from a thread, since replacing a broken pool joins and
+        forks processes, which must not stall the event loop.
+        """
         assert self.workers is not None  # start() forks the pool
+        args = (_execute_records, engine, specs, lattice)
         try:
-            reply = await asyncio.wrap_future(
-                self.workers.submit(_execute_records, engine, specs, lattice)
-            )
+            future = self.workers.submit_nowait(*args)
+            if future is None:
+                future = await asyncio.get_running_loop().run_in_executor(
+                    self._threads, self.workers.submit, *args
+                )
+            reply = await asyncio.wrap_future(future)
         except BrokenProcessPool as exc:
-            raise HttpError(500, "worker_died", f"a service worker died: {exc}")
+            raise _failure(exc)
         self.stats.observe_cache(reply["cache_stats"])
         self.stats.records_served += len(reply["records"])
         return reply
@@ -489,9 +522,13 @@ class MatchingService:
                 elif kind == "done":
                     break
                 else:
-                    # Status already sent: all we can do is truncate the
-                    # stream (EOF-delimited, so the client sees a short
-                    # body) and count the failure.
+                    # Status already sent: end the stream with one error
+                    # line after the last whole record, so a reader can
+                    # tell a sweep cut short from a complete one.
+                    error = _failure(payload)
+                    trailer = json.dumps(error_body(error.code, error.message), sort_keys=True)
+                    writer.write(trailer.encode("utf-8") + b"\n")
+                    await writer.drain()
                     await future
                     return 500
             self.stats.observe_cache(await future)

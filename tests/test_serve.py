@@ -20,9 +20,9 @@ import time
 import pytest
 
 from repro.errors import ReproError, ServeError
-from repro.experiment import ScenarioSpec, Session, Sweep
+from repro.experiment import Engine, ScenarioSpec, Session, Sweep
 from repro.experiment.spec import ExecutorSpec
-from repro.io import record_ndjson_line, records_ndjson_header
+from repro.io import iter_records_ndjson, record_ndjson_line, records_ndjson_header
 from repro.serve import ServiceConfig, request, start_background
 
 SPEC = ScenarioSpec()
@@ -359,7 +359,7 @@ class TestWorkerPool:
             handle.stop()
         assert not any(_alive(pid) for pid in first + second)
 
-    def test_killed_worker_truncates_inflight_sweep(self):
+    def test_killed_worker_ends_inflight_sweep_with_error_line(self, tmp_path):
         # One-spec chunks (parallel plane, two workers): the fast specs
         # stream before the slow ones are caught in flight.
         handle = start_background(
@@ -388,15 +388,88 @@ class TestWorkerPool:
             client.join(timeout=60)
             response = replies["sweep"]
             assert response.status == 200  # sent before the worker died
-            header, *lines = response.lines()
+            header, *lines, trailer = response.lines()
             assert json.loads(header)["kind"] == "run-records"
-            # A short body of whole, correct records: nothing appended.
+            # Whole, correct records, then one error line.
+            assert json.loads(trailer)["error"]["code"] == "worker_died"
             assert 2 <= len(lines) < len(sweep)
             expected = Session(executor="batch").sweep(sweep.specs[: len(lines)])
             assert lines == [record_ndjson_line(record).rstrip("\n") for record in expected]
             assert statz()["endpoints"]["/v1/sweep"]["errors"] == 1
             assert request(handle.host, handle.port, "GET", "/healthz").status == 200
         finally:
+            handle.stop()
+        captured = tmp_path / "sweep.ndjson"
+        captured.write_bytes(response.body)
+        with pytest.raises(ReproError, match="ends with an error.*worker_died"):
+            list(iter_records_ndjson(captured))
+
+    def test_http_host_hands_back_a_chunk_its_worker_died_on(self):
+        # Two services as hosts, one chunk each; the victim's worker is
+        # killed mid-chunk, so the survivor must run that chunk too.
+        victim = start_background(ServiceConfig(port=0, max_inflight=1))
+        survivor = start_background(ServiceConfig(port=0, max_inflight=1))
+        # About half a second each: still running when the kill lands.
+        spec = ScenarioSpec.from_dict(dict(SLOW.to_dict(), k=6, tL=6, tR=1))
+        specs = (spec, spec)
+        hosts = tuple(f"http://{h.host}:{h.port}" for h in (victim, survivor))
+        pids = _pool_pids(victim) + _pool_pids(survivor)
+        try:
+            result: dict = {}
+            client = threading.Thread(
+                target=lambda: result.update(
+                    records=Engine("hosts", hosts=hosts).run_sweep(specs)
+                )
+            )
+            client.start()
+            _wait_for_inflight(victim)
+            time.sleep(0.2)  # the chunk is in the victim's worker now
+            os.kill(_pool_pids(victim)[0], signal.SIGKILL)
+            client.join(timeout=60)
+            assert result["records"].to_json() == Session(executor="batch").sweep(specs).to_json()
+            victim_statz = request(victim.host, victim.port, "GET", "/statz").json()
+            assert victim_statz["endpoints"]["/v1/sweep"]["errors"] == 1
+            survivor_statz = request(survivor.host, survivor.port, "GET", "/statz").json()
+            assert survivor_statz["endpoints"]["/v1/sweep"]["requests"] == 2
+        finally:
+            victim.stop()
+            survivor.stop()
+        assert not any(_alive(pid) for pid in pids + _pool_pids(victim))
+
+    def test_pool_replacement_leaves_the_event_loop_free(self, monkeypatch):
+        handle = start_background(ServiceConfig(port=0, max_inflight=1))
+        workers = handle.service.workers
+        first = _pool_pids(handle)
+        forking, release = threading.Event(), threading.Event()
+        fork = workers._fork
+
+        def slow_fork():
+            forking.set()
+            release.wait(timeout=30)
+            return fork()
+
+        try:
+            os.kill(first[0], signal.SIGKILL)
+            _wait_for(lambda: not _alive(first[0]))  # reaped: the pool is broken
+            monkeypatch.setattr(workers, "_fork", slow_fork)
+            replies: dict = {}
+            client = threading.Thread(
+                target=lambda: replies.update(
+                    run=request(handle.host, handle.port, "POST", "/v1/run", SPEC.to_dict())
+                )
+            )
+            client.start()
+            assert forking.wait(timeout=10)
+            # The replacement is under way and blocked: the loop still answers.
+            health = request(handle.host, handle.port, "GET", "/healthz", timeout=5.0)
+            assert health.json()["status"] == "ok"
+            release.set()
+            client.join(timeout=60)
+            assert replies["run"].status == 200
+            expected = Session(executor="batch").sweep(Sweep.of(SPEC))
+            assert replies["run"].json()["records"] == [record.to_dict() for record in expected]
+        finally:
+            release.set()
             handle.stop()
 
     def test_stop_without_drain_terminates_busy_workers(self):
