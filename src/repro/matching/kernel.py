@@ -38,12 +38,13 @@ during validation (one pass: validate + lower).  The loops:
   engine's offline fast path emits byte-identical records without ever
   materializing a ``PartyId``.
 
-When numpy and a C compiler are present the generation path drops one
-level further: the Mersenne state is transplanted into a numpy
-``RandomState`` (the same MT19937, verified word-for-word), the raw
-32-bit word stream is extracted in bulk, and the Fisher-Yates rejection
-loop runs in a small compiled helper (:mod:`repro.matching._native`).
-Both accelerations are bit-identical to the pure-python loop and degrade
+When a C compiler is present the generation path drops one level
+further: a small compiled helper (:mod:`repro.matching._native`) carries
+CPython's MT19937, starts from the generator's own state
+(``Random.getstate()``), runs the Fisher-Yates rejection loop on exactly
+the words ``Random.shuffle`` would draw, writes the rows straight into
+``array('i')`` buffers, and hands the advanced state back.  It is
+bit-identical to the pure-python loop, needs no numpy, and degrades
 silently when unavailable (``REPRO_NATIVE=0`` forces the fallback).
 """
 
@@ -59,9 +60,11 @@ from repro.matching import _native
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.matching.preferences import PreferenceProfile
 
-try:  # numpy is optional: every entry point has a pure-python path.
+# numpy is optional and not a declared dependency: every entry point but
+# numpy_rank_sums has a pure-python path.
+try:
     import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
+except ImportError:
     _np = None
 
 __all__ = [
@@ -407,95 +410,15 @@ def _solvable_pairs_numpy(
 # -- kernel-native uniform instance generation ---------------------------------
 
 #: Below this many cells (``rows * k``) the fixed cost of the native
-#: path (state transplant + bulk word extraction) beats its win.
+#: path (the Mersenne state hand-off and the ctypes call) beats its win.
 _NATIVE_MIN_CELLS = 4096
 
 
-def _expected_row_words(k: int) -> float:
-    """Expected Mersenne words per shuffled row of length ``k``.
-
-    One draw per Fisher-Yates step is ``2^bit_length(n) / n`` words in
-    expectation (geometric rejection sampling), summed over bounds
-    ``n = k .. 2``.
-    """
-    cached = _ROW_WORDS.get(k)
-    if cached is None:
-        cached = sum((1 << n.bit_length()) / n for n in range(2, k + 1))
-        _ROW_WORDS[k] = cached
-    return cached
-
-
-_ROW_WORDS: dict[int, float] = {}
-
-#: Word-extraction chunk bound for the native lane: one chunk's uint32
-#: draw tops out at 64 MiB, keeping peak memory flat as ``k`` and row
-#: counts grow (``k = 8192`` needs ~186M words total, which would be a
-#: ~750 MiB single allocation without chunking).
-_WORD_BUDGET = 1 << 24
-
-
-def _mt_shuffled_matrix(
-    rng: random.Random, k: int, count: int, word_budget: int = _WORD_BUDGET
-):
-    """``count`` stream-identical shuffled rows as an int32 matrix, or
-    ``None`` when the native lane is unavailable or not worth it.
-
-    Transplants ``rng``'s Mersenne state into a numpy ``RandomState``
-    (bit-for-bit the same MT19937), extracts the raw 32-bit word stream
-    in budget-bounded chunks, and runs the Fisher-Yates rejection loop
-    in C.  Chunking is invisible to the result: leftover words from one
-    chunk head the next, so the C loop sees one continuous stream.
-    ``rng`` is then advanced by *exactly* the words the shuffles
-    consumed, so callers sharing the generator see the same stream
-    position as the pure-python path — a caller's next draw is
-    unchanged.
-    """
-    if _np is None or count == 0 or count * k < _NATIVE_MIN_CELLS:
+def _native_lane(k: int) -> _native.NativeKernel | None:
+    """The compiled kernel when a ``2k``-row instance is worth it."""
+    if 2 * k * k < _NATIVE_MIN_CELLS:
         return None
-    native = _native.load()
-    if native is None:
-        return None
-    version, internal, gauss = rng.getstate()
-    keys = _np.asarray(internal[:-1], dtype=_np.uint32)
-    state = _np.random.RandomState()
-    state.set_state(("MT19937", keys, internal[-1]))
-    row_words = _expected_row_words(k)
-    # Rows whose expected words (plus the safety margin) fit the budget;
-    # a single over-budget row still runs — the budget is a target, not
-    # a ceiling.
-    per_chunk = max(1, int((word_budget - 4 * k - 64 - 16.0 * word_budget**0.5) / row_words))
-    out = _np.empty((count, k), dtype=_np.int32)
-    buffered = _np.empty(0, dtype=_np.uint32)
-    total_consumed = 0
-    start = 0
-    while start < count:
-        rows = min(count - start, per_chunk)
-        expected = rows * row_words
-        need = int(expected + 16.0 * expected**0.5) + 4 * k + 64
-        if buffered.size < need:
-            fresh = state.randint(0, 2**32, size=need - buffered.size, dtype=_np.uint32)
-            buffered = _np.concatenate([buffered, fresh]) if buffered.size else fresh
-        chunk = out[start : start + rows]
-        consumed = native.fy_fill(buffered, k, rows, chunk)
-        while consumed < 0:  # pragma: no cover - ~16-sigma word overdraw
-            extra = state.randint(0, 2**32, size=need, dtype=_np.uint32)
-            buffered = _np.concatenate([buffered, extra])
-            consumed = native.fy_fill(buffered, k, rows, chunk)
-        total_consumed += consumed
-        buffered = buffered[consumed:]
-        start += rows
-    # Re-extract exactly `total_consumed` words (in budget-sized steps —
-    # chunked extraction walks the identical stream) to land rng on the
-    # position the serial getrandbits calls would have left it at.
-    state.set_state(("MT19937", keys, internal[-1]))
-    remaining = total_consumed
-    while remaining:
-        step = min(remaining, word_budget)
-        state.randint(0, 2**32, size=step, dtype=_np.uint32)
-        remaining -= step
-    _, advanced, pos = state.get_state()[:3]
-    rng.setstate((version, tuple(map(int, advanced)) + (int(pos),), gauss))
-    return out
+    return _native.load()
 
 
 def _shuffled_row(k: int, getrandbits) -> list[int]:
@@ -533,10 +456,13 @@ def random_index_rows(
     real method on an int row — still the same stream.
     """
     if type(rng) is random.Random:
-        matrix = _mt_shuffled_matrix(rng, k, 2 * k)
-        if matrix is not None:
-            rows = matrix.tolist()
-            return rows[:k], rows[k:]
+        native = _native_lane(k)
+        if native is not None:
+            left, right = (
+                [block[base : base + k].tolist() for base in range(0, k * k, k)]
+                for block in native.shuffled_rows(rng, k, k, k)
+            )
+            return left, right
         getrandbits = rng.getrandbits
         left = [_shuffled_row(k, getrandbits) for _ in range(k)]
         right = [_shuffled_row(k, getrandbits) for _ in range(k)]
@@ -563,16 +489,12 @@ def random_instance_stats(k: int, seed: int) -> tuple[int, int]:
     everyone, so ``matched == k`` and ``rejections == proposals - k``.
     """
     rng = random.Random(seed)
-    matrix = _mt_shuffled_matrix(rng, k, 2 * k)
-    if matrix is not None:
-        # Stay in flat int32 buffers: the left block *is* the proposer
+    native = _native_lane(k)
+    if native is not None:
+        # Stay in flat int buffers: the left block *is* the proposer
         # preference matrix, the right block inverts to the rank matrix.
-        native = _native.load()
-        assert native is not None  # _mt_shuffled_matrix gated on it
-        inverse = _np.empty((k, k), dtype=_np.int32)
-        native.invert_rows(matrix[k:], k, inverse)
-        left_pref = array("i", matrix[:k].tobytes())
-        right_rank = array("i", inverse.tobytes())
+        left_pref, right_pref = native.shuffled_rows(rng, k, k, k)
+        right_rank = native.invert_rows(right_pref, k)
     else:
         left_rows, right_rows = random_index_rows(k, rng)
         left_pref = array("i", [entry for row in left_rows for entry in row])
@@ -599,7 +521,7 @@ def numpy_rank_sums(n: int, seed: int) -> tuple[int, int]:
     ensemble, it does not reproduce per-seed records — which is why the
     record path never uses it.
     """
-    if _np is None:  # pragma: no cover - numpy ships with the image
+    if _np is None:
         raise MatchingError("numpy_rank_sums needs numpy")
     rng = _np.random.default_rng(seed)
     dtype = _np.int32 if n > 32000 else _np.int16

@@ -430,108 +430,157 @@ class TestSolvabilityCacheStats:
 # -- the optional C fast lane --------------------------------------------------
 
 
+def _lane_or_skip():
+    from repro.matching import _native
+
+    native = _native.load()
+    if native is None:
+        pytest.skip("no C compiler in this environment")
+    return native
+
+
+def _count_lane_draws(monkeypatch, native):
+    """Patch ``_native.load`` to return ``native`` and record the row
+    counts of every ``shuffled_rows`` call made through it."""
+    from repro.matching import _native
+
+    calls = []
+
+    class Spy:
+        def shuffled_rows(self, rng, k, *counts):
+            calls.append(counts)
+            return native.shuffled_rows(rng, k, *counts)
+
+        def invert_rows(self, rows, k):
+            return native.invert_rows(rows, k)
+
+    spy = Spy()
+    monkeypatch.setattr(_native, "load", lambda: spy)
+    return calls
+
+
+def _pure_python_stats(monkeypatch, k, seed):
+    from repro.matching import _native
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "load", lambda: None)
+        return random_instance_stats(k, seed)
+
+
 class TestNativeLane:
     """The compiled Fisher-Yates lane is bit-identical to the python loop."""
 
-    @pytest.mark.parametrize("k", (64, 65, 257))
+    @pytest.mark.parametrize("k", (64, 65, 257, 8192))
     def test_rows_and_rng_state_match_pure_python(self, k):
+        from repro.matching.kernel import _shuffled_row
+
+        native = _lane_or_skip()
+        for count in (1, 3, 8) if k == 8192 else (1, 2, 40, 2 * k):
+            fast, slow = random.Random(k + count), random.Random(k + count)
+            # Start mid-stream with a pending gauss value: the hand-off
+            # must keep the read index and the rest of the state intact.
+            fast.gauss(0.0, 1.0)
+            slow.gauss(0.0, 1.0)
+            (block,) = native.shuffled_rows(fast, k, count)
+            getrandbits = slow.getrandbits
+            rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
+            assert block.tolist() == [entry for row in rows for entry in row]
+            # The shared generator must land on the same stream position:
+            # a caller's next draw is unaffected by which lane ran.
+            assert fast.getstate() == slow.getstate()
+            assert fast.random() == slow.random()
+
+    def test_blocks_continue_one_stream(self):
+        native = _lane_or_skip()
+        k = 97
+        once, split = random.Random(3), random.Random(3)
+        (whole,) = native.shuffled_rows(once, k, 64)
+        first, second = native.shuffled_rows(split, k, 10, 30)
+        (third,) = native.shuffled_rows(split, k, 24)
+        assert first + second + third == whole
+        assert split.getstate() == once.getstate()
+
+    def test_small_instances_stay_on_the_python_path(self, monkeypatch):
         from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix, _shuffled_row
-
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        fast, slow = random.Random(11), random.Random(11)
-        matrix = _mt_shuffled_matrix(fast, k, 2 * k)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(2 * k)]
-        assert matrix.tolist() == rows
-        # The shared generator must land on the same stream position:
-        # a caller's next draw is unaffected by which lane ran.
-        assert fast.getstate() == slow.getstate()
-        assert fast.random() == slow.random()
-
-    def test_small_instances_stay_on_the_python_path(self):
-        from repro.matching.kernel import _NATIVE_MIN_CELLS, _mt_shuffled_matrix
+        from repro.matching.kernel import _NATIVE_MIN_CELLS, random_index_rows
 
         k = 8
         assert 2 * k * k < _NATIVE_MIN_CELLS
-        assert _mt_shuffled_matrix(random.Random(0), k, 2 * k) is None
+        loads = []
+        monkeypatch.setattr(_native, "load", lambda: loads.append(k))
+        random_instance_stats(k, 0)
+        random_index_rows(k, random.Random(0))
+        assert loads == []
 
     def test_native_invert_matches_python(self):
+        from array import array
+
+        native = _lane_or_skip()
+        rows = array("i", [2, 0, 1, 3, 3, 2, 1, 0])
+        assert native.invert_rows(rows, 4).tolist() == [1, 2, 0, 3, 3, 2, 1, 0]
+
+    def test_lane_runs_without_numpy(self, monkeypatch):
+        from repro.matching import _native, kernel
+        from repro.matching.kernel import random_index_rows
+
+        native = _lane_or_skip()
+        k, seed = 64, 5
+        expected_stats = _pure_python_stats(monkeypatch, k, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "load", lambda: None)
+            expected_rows = random_index_rows(k, random.Random(seed))
+        monkeypatch.setattr(kernel, "_np", None)
+        calls = _count_lane_draws(monkeypatch, native)
+        assert random_instance_stats(k, seed) == expected_stats
+        assert random_index_rows(k, random.Random(seed)) == expected_rows
+        assert calls == [(k, k), (k, k)]
+
+    @pytest.mark.parametrize("k", (45, 46, 64, 257, 1000))
+    def test_stats_match_pure_python_across_the_threshold(self, monkeypatch, k):
+        from repro.matching.kernel import _NATIVE_MIN_CELLS
+
+        native = _lane_or_skip()
+        seed = 1000 + k
+        expected = _pure_python_stats(monkeypatch, k, seed)
+        calls = _count_lane_draws(monkeypatch, native)
+        assert random_instance_stats(k, seed) == expected
+        assert bool(calls) == (2 * k * k >= _NATIVE_MIN_CELLS)
+
+    def test_build_dir_defaults_to_the_checkout(self, monkeypatch):
+        from pathlib import Path
+
         from repro.matching import _native
 
-        native = _native.load()
-        if native is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        np = pytest.importorskip("numpy")
-        rows = np.array([[2, 0, 1, 3], [3, 2, 1, 0]], dtype=np.int32)
-        out = np.empty_like(rows)
-        native.invert_rows(rows, 4, out)
-        assert out.tolist() == [[1, 2, 0, 3], [3, 2, 1, 0]]
+        monkeypatch.delenv("REPRO_NATIVE_DIR", raising=False)
+        checkout = Path(__file__).resolve().parents[1]
+        assert _native._build_dir() == checkout / "build" / "native"
 
+    def test_concurrent_first_builds_all_get_the_lane(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
 
-class TestChunkedNativeLane:
-    """Beyond the 64 MiB word budget the native lane streams in chunks;
-    the chunk boundaries must be invisible in both output and rng state."""
-
-    def test_chunked_stream_identical_to_unchunked(self):
         from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix
 
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        k, count = 97, 64
-        whole = _mt_shuffled_matrix(random.Random(3), k, count)
-        # A budget this small forces many chunks with leftover carry.
-        chunked = _mt_shuffled_matrix(random.Random(3), k, count, word_budget=4096)
-        assert whole is not None and chunked is not None
-        assert chunked.tolist() == whole.tolist()
-
-    @pytest.mark.parametrize("k,count,budget", ((64, 200, 4096), (257, 40, 8192)))
-    def test_chunked_rows_and_rng_state_match_pure_python(self, k, count, budget):
-        from repro.matching import _native
-        from repro.matching.kernel import _mt_shuffled_matrix, _shuffled_row
-
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        fast, slow = random.Random(23), random.Random(23)
-        matrix = _mt_shuffled_matrix(fast, k, count, word_budget=budget)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
-        assert matrix.tolist() == rows
-        assert fast.getstate() == slow.getstate()
-        assert fast.random() == slow.random()
-
-    def test_k8192_exceeds_budget_and_matches_python(self):
-        from repro.matching import _native
-        from repro.matching.kernel import (
-            _WORD_BUDGET,
-            _expected_row_words,
-            _mt_shuffled_matrix,
-            _shuffled_row,
+        _lane_or_skip()
+        src = str(Path(_native.__file__).resolve().parents[2])
+        env = dict(os.environ, REPRO_NATIVE_DIR=str(tmp_path))
+        env.pop("REPRO_NATIVE", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        # Every child sleeps until the same instant, then builds.
+        script = (
+            "import sys, time\n"
+            "from repro.matching import _native\n"
+            "time.sleep(max(0.0, float(sys.argv[1]) - time.time()))\n"
+            "sys.exit(0 if _native.load() is not None else 1)\n"
         )
-
-        if _native.load() is None:
-            pytest.skip("no C compiler / numpy in this environment")
-        k, count = 8192, 8
-        # The point of the chunking: a full 2*k-row ensemble at this k
-        # does not fit the unchunked allocation.
-        assert _expected_row_words(k) * 2 * k > _WORD_BUDGET
-        # A 64k-word budget leaves room for ~2 rows per chunk at k=8192
-        # (the 4*k carry dominates), so this run crosses several chunk
-        # boundaries just like the full ensemble would.
-        budget = 1 << 16
-        assert (budget - 4 * k) / _expected_row_words(k) < count
-        fast, slow = random.Random(8192), random.Random(8192)
-        matrix = _mt_shuffled_matrix(fast, k, count, word_budget=budget)
-        assert matrix is not None
-        getrandbits = slow.getrandbits
-        rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
-        assert matrix.tolist() == rows
-        assert fast.getstate() == slow.getstate()
-        # And the default budget gives the same rows (chunk layout is
-        # invisible in the output stream).
-        default = _mt_shuffled_matrix(random.Random(8192), k, count)
-        assert default.tolist() == rows
+        start = str(time.time() + 2.0)
+        children = [
+            subprocess.Popen([sys.executable, "-c", script, start], env=env)
+            for _ in range(4)
+        ]
+        assert [child.wait(timeout=120) for child in children] == [0, 0, 0, 0]
+        # One published object; no builder's private files are left.
+        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]

@@ -409,9 +409,9 @@ class TestWorkerPool:
         # killed mid-chunk, so the survivor must run that chunk too.
         victim = start_background(ServiceConfig(port=0, max_inflight=1))
         survivor = start_background(ServiceConfig(port=0, max_inflight=1))
-        # About half a second each: still running when the kill lands.
-        spec = ScenarioSpec.from_dict(dict(SLOW.to_dict(), k=6, tL=6, tR=1))
-        specs = (spec, spec)
+        # Each must still be running when the 0.2 s kill below lands, on
+        # a fast host too (SLOW takes about 0.8 s on a 2-vCPU x86-64 host).
+        specs = (SLOW, SLOW)
         hosts = tuple(f"http://{h.host}:{h.port}" for h in (victim, survivor))
         pids = _pool_pids(victim) + _pool_pids(survivor)
         try:
