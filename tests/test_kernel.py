@@ -584,3 +584,31 @@ class TestNativeLane:
         assert [child.wait(timeout=120) for child in children] == [0, 0, 0, 0]
         # One published object; no builder's private files are left.
         assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
+
+
+class TestChunkedNativeLane:
+    """Rows drawn in blocks of at most ``budget`` words, across and within
+    ``shuffled_rows`` calls, match the python loop row for row and leave
+    the generator where it would."""
+
+    @pytest.mark.parametrize("k,count,budget", ((64, 200, 4096), (257, 40, 8192)))
+    def test_chunked_rows_and_rng_state_match_pure_python(self, k, count, budget):
+        from repro.matching.kernel import _shuffled_row
+
+        native = _lane_or_skip()
+        per_block = max(1, budget // k)
+        sizes = [min(per_block, count - start) for start in range(0, count, per_block)]
+        assert len(sizes) > 1
+        fast, slow = random.Random(23), random.Random(23)
+        # The first block alone, the rest in one call: boundaries fall
+        # both between calls and inside one.
+        blocks = native.shuffled_rows(fast, k, sizes[0])
+        blocks += native.shuffled_rows(fast, k, *sizes[1:])
+        assert [len(block) for block in blocks] == [k * size for size in sizes]
+        getrandbits = slow.getrandbits
+        rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
+        assert [entry for block in blocks for entry in block] == [
+            entry for row in rows for entry in row
+        ]
+        assert fast.getstate() == slow.getstate()
+        assert fast.random() == slow.random()
