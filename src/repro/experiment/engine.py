@@ -392,7 +392,7 @@ def _roommates_records(spec: ScenarioSpec) -> tuple[RunRecord, ...]:
     )
 
 
-def _offline_records(spec: ScenarioSpec) -> tuple[RunRecord, ...]:
+def _offline_records(spec: ScenarioSpec, cache=NO_CACHE) -> tuple[RunRecord, ...]:
     from repro.ids import left_side, right_side
     from repro.matching.gale_shapley import gale_shapley
     from repro.matching.incomplete import IncompleteProfile, gale_shapley_incomplete
@@ -403,7 +403,10 @@ def _offline_records(spec: ScenarioSpec) -> tuple[RunRecord, ...]:
         # carries only (matched, proposals, receiver_rank), all of which
         # the kernel computes PartyId-free from the same seed stream —
         # byte-identical to building the profile (tests/test_kernel.py).
-        proposals, receiver_rank = random_instance_stats(spec.k, spec.profile.seed)
+        # A batch cache lends the instance's matrices (NO_CACHE: fresh).
+        proposals, receiver_rank = random_instance_stats(
+            spec.k, spec.profile.seed, cache.instance_buffers
+        )
         return (
             RunRecord(
                 scenario=spec.label(),
@@ -493,12 +496,15 @@ _FAMILY_RUNNERS: dict[str, Callable[[ScenarioSpec], tuple[RunRecord, ...]]] = {
 def execute_spec(spec: ScenarioSpec, *, cache=NO_CACHE, trace=None) -> tuple[RunRecord, ...]:
     """Run one scenario and return its record rows (pure, deterministic).
 
-    ``cache`` (an :class:`~repro.runtime.ExecutionCache`) and ``trace``
-    (a structured sink) only apply to network-backed families; both are
-    semantically transparent.
+    ``cache`` (an :class:`~repro.runtime.ExecutionCache`) applies to
+    network-backed families and lends the offline kernel its instance
+    buffers; ``trace`` (a structured sink) only applies to network-backed
+    families.  Both are semantically transparent.
     """
     if spec.family == "bsm":
         return _bsm_records(spec, cache, trace)
+    if spec.family == "offline":
+        return _offline_records(spec, cache)
     return _FAMILY_RUNNERS[spec.family](spec)
 
 

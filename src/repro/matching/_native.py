@@ -1,18 +1,24 @@
 """Optional C fast lane for the kernel's Fisher-Yates hot loop.
 
 The stream-identical shuffle (:func:`repro.matching.kernel._shuffled_row`)
-is a ~``k log k``-draw pure-python loop per preference row; at the
+is a pure-python loop of about ``k`` draws per preference row; at the
 ensemble scale tier (``k = 1000``, 2000 rows per instance) it dominates
 the whole offline record path.  This module compiles a small C helper
 once with the system C compiler and loads it through :mod:`ctypes` — no
 build-time dependency, no packaging step, no numpy.  The helper carries
-CPython's own MT19937 (``genrand_uint32`` and the twist, as in
-``Modules/_randommodule.c``): it starts from ``Random.getstate()``,
-draws exactly the words ``Random.shuffle`` would, writes the rows into
-``array('i')`` buffers and hands the advanced state back for
+CPython's own MT19937 (the twist and the tempering of
+``genrand_uint32``, as in ``Modules/_randommodule.c``): it starts from
+``Random.getstate()`` (handed over as an ``array('I')``), draws exactly
+the words ``Random.shuffle`` would, and hands the advanced state back for
 ``Random.setstate()``, so the rows and the generator's position are
 bit-identical to the pure-python loop (enforced by
-``tests/test_kernel.py``).
+``tests/test_kernel.py``).  Its one loop writes each row either as drawn
+(:meth:`NativeKernel.shuffled_rows`) or, shuffled in a scratch row, as its
+inverse permutation, which is how :meth:`NativeKernel.draw_instance` lands
+a whole instance (preference rows, then a rank matrix) in one pass into a
+caller's buffers.  Inside the loop the 624 words are tempered in bulk after
+each twist and the rejection shift is computed once per bit length of the
+bound.
 
 Availability is best-effort by design:
 
@@ -37,10 +43,12 @@ import subprocess
 import tempfile
 from array import array
 from pathlib import Path
+from typing import Iterable
 
 __all__ = ["NativeKernel", "load"]
 
 _C_SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 
 /* CPython's MT19937 (Modules/_randommodule.c).  The state is the 625
@@ -66,84 +74,97 @@ static void mt_twist(uint32_t *mt)
     mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
 }
 
-static inline uint32_t genrand_uint32(uint32_t *mt, int64_t *index)
+/* The output words genrand_uint32 would return for mt[from..MT_N):
+ * the tempering, applied in bulk rather than once per draw. */
+static void mt_temper(const uint32_t *mt, uint32_t *out, int64_t from)
 {
-    if (*index >= MT_N) {
-        mt_twist(mt);
-        *index = 0;
+    for (int64_t t = from; t < MT_N; t++) {
+        uint32_t y = mt[t];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        out[t] = y;
     }
-    uint32_t y = mt[(*index)++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
 }
 
 /* Fisher-Yates over nrows rows of [0..k), each shuffled as
  * Random.shuffle does: for a bound n = i + 1 the draw is
  * getrandbits(bit_length(n)) = word >> (32 - bit_length(n)), redrawn
- * while it lands above i.  A rejected draw swaps row[i] with itself
- * and keeps i, so the loop has no data-dependent branch.  Advances
- * state in place.
+ * while it lands above i.  The shift is held for every i of one bit
+ * length.  A rejected draw swaps row[i] with itself and keeps i, so the
+ * loop has no data-dependent branch.  With scratch == NULL the rows land
+ * in out; otherwise each row is shuffled in scratch (k ints) and out
+ * gets its inverse permutation (the row's rank table).  Advances state
+ * in place.
  */
 void repro_mt_shuffle_rows(uint32_t *state, int64_t k, int64_t nrows,
-                           int *out)
+                           int *out, int *scratch)
 {
+    uint32_t words[MT_N];
     int64_t index = state[MT_N];
+    if (index < MT_N)
+        mt_temper(state, words, index);
     for (int64_t r = 0; r < nrows; r++) {
-        int *row = out + r * k;
+        int *row = scratch != NULL ? scratch : out + r * k;
         for (int64_t t = 0; t < k; t++)
             row[t] = (int)t;
         int64_t i = k - 1;
         while (i > 0) {
             int shift = __builtin_clz((uint32_t)i + 1U);
-            int64_t j = (int64_t)(genrand_uint32(state, &index) >> shift);
-            int64_t hit = j <= i;
-            j = hit ? j : i;
-            int tmp = row[i];
-            row[i] = row[j];
-            row[j] = tmp;
-            i -= hit;
+            int64_t low = (INT64_C(1) << (31 - shift)) - 1;
+            while (i >= low) {
+                if (index >= MT_N) {
+                    mt_twist(state);
+                    mt_temper(state, words, 0);
+                    index = 0;
+                }
+                int64_t j = (int64_t)(words[index++] >> shift);
+                int64_t hit = j <= i;
+                j = hit ? j : i;
+                int tmp = row[i];
+                row[i] = row[j];
+                row[j] = tmp;
+                i -= hit;
+            }
+        }
+        if (scratch != NULL) {
+            int *inverse = out + r * k;
+            for (int64_t t = 0; t < k; t++)
+                inverse[row[t]] = (int)t;
         }
     }
     state[MT_N] = (uint32_t)index;
-}
-
-/* out[r] = the inverse permutation of rows[r] (the rank matrix of a
- * preference matrix). */
-void repro_invert_rows(const int *rows, int64_t nrows, int64_t k, int *out)
-{
-    for (int64_t r = 0; r < nrows; r++) {
-        const int *row = rows + r * k;
-        int *inv = out + r * k;
-        for (int64_t i = 0; i < k; i++)
-            inv[row[i]] = (int)i;
-    }
 }
 """
 
 
 class NativeKernel:
-    """ctypes façade over the compiled helpers."""
+    """ctypes façade over the compiled shuffle loop."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._shuffle = lib.repro_mt_shuffle_rows
         self._shuffle.restype = None
         self._shuffle.argtypes = (
-            ctypes.POINTER(ctypes.c_uint32),
+            ctypes.c_void_p,
             ctypes.c_int64,
             ctypes.c_int64,
+            ctypes.c_void_p,
             ctypes.c_void_p,
         )
-        self._invert = lib.repro_invert_rows
-        self._invert.restype = None
-        self._invert.argtypes = (
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_void_p,
-        )
+
+    def _draw(
+        self, rng: random.Random, k: int, blocks: Iterable[tuple[int, int, int | None]]
+    ) -> None:
+        """Run each ``(rows, out, scratch)`` shuffle of ``k``-wide rows (the
+        C loop's arguments; addresses as ints), in order, on ``rng``'s
+        stream, and hand the advanced state back."""
+        version, internal, gauss = rng.getstate()
+        state = array("I", internal)
+        address = state.buffer_info()[0]
+        for rows, out, scratch in blocks:
+            self._shuffle(address, k, rows, out, scratch)
+        rng.setstate((version, tuple(state), gauss))
 
     def shuffled_rows(self, rng: random.Random, k: int, *counts: int) -> list[array]:
         """One flat ``array('i')`` per entry of ``counts``, holding that
@@ -154,21 +175,28 @@ class NativeKernel:
         position the shuffles leave it at, so its next draw is the one
         the pure-python path would make.
         """
-        version, internal, gauss = rng.getstate()
-        state = (ctypes.c_uint32 * len(internal))(*internal)
-        blocks = []
-        for count in counts:
-            block = array("i", [0]) * (k * count)
-            self._shuffle(state, k, count, block.buffer_info()[0])
-            blocks.append(block)
-        rng.setstate((version, tuple(state), gauss))
+        blocks = [array("i", [0]) * (k * count) for count in counts]
+        self._draw(rng, k, [(n, b.buffer_info()[0], None) for n, b in zip(counts, blocks)])
         return blocks
 
-    def invert_rows(self, rows: array, k: int) -> array:
-        """The row-by-row inverse permutation of flat ``rows`` (``k`` wide)."""
-        out = array("i", [0]) * len(rows)
-        self._invert(rows.buffer_info()[0], len(rows) // k, k, out.buffer_info()[0])
-        return out
+    def draw_instance(self, rng: random.Random, k: int, pref: array, rank: array) -> None:
+        """Draw ``2k`` shuffled rows as :meth:`shuffled_rows` would, into
+        the first ``k * k`` cells of two ``array('i')`` buffers: the
+        first ``k`` rows as they are into ``pref``, the inverse of each of
+        the last ``k`` into ``rank``.  Cells past ``k * k`` are left alone.
+        """
+        cells = k * k
+        if pref.typecode != "i" or rank.typecode != "i" or min(len(pref), len(rank)) < cells:
+            raise ValueError(f"draw_instance needs two array('i') of at least {cells} cells")
+        scratch = array("i", [0]) * k
+        self._draw(
+            rng,
+            k,
+            (
+                (k, pref.buffer_info()[0], None),
+                (k, rank.buffer_info()[0], scratch.buffer_info()[0]),
+            ),
+        )
 
 
 def _build_dir() -> Path:
@@ -225,7 +253,8 @@ def load() -> NativeKernel | None:
     if _CACHE is not None:
         return _CACHE[0]
     kernel: NativeKernel | None = None
-    if os.environ.get("REPRO_NATIVE", "1") != "0":
+    # The state hand-off is an array('I') read as uint32_t words.
+    if os.environ.get("REPRO_NATIVE", "1") != "0" and array("I").itemsize == 4:
         try:
             shared = _compile(_build_dir())
             if shared is not None:

@@ -42,10 +42,16 @@ When a C compiler is present the generation path drops one level
 further: a small compiled helper (:mod:`repro.matching._native`) carries
 CPython's MT19937, starts from the generator's own state
 (``Random.getstate()``), runs the Fisher-Yates rejection loop on exactly
-the words ``Random.shuffle`` would draw, writes the rows straight into
-``array('i')`` buffers, and hands the advanced state back.  It is
-bit-identical to the pure-python loop, needs no numpy, and degrades
-silently when unavailable (``REPRO_NATIVE=0`` forces the fallback).
+the words ``Random.shuffle`` would draw, and hands the advanced state
+back.  For :func:`random_instance_stats` it draws the whole instance in
+one pass: the left rows land as the preference matrix and the right rows
+only as their inverses, the rank matrix, both in :class:`InstanceBuffers`
+that the engine's batch cache lends and reuses, so a sweep's instances
+do not each allocate (and fault in) fresh matrices.  It is bit-identical
+to the pure-python loop, needs no numpy, and degrades silently when
+unavailable (``REPRO_NATIVE=0`` forces the fallback); instances under
+``_NATIVE_MIN_CELLS`` cells (``k <= 11``) stay on the python loop, which
+is faster there.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ __all__ = [
     "solvable_pairs",
     "random_index_rows",
     "random_instance_stats",
+    "InstanceBuffers",
     "numpy_rank_sums",
     "HAVE_NUMPY",
 ]
@@ -411,7 +418,7 @@ def _solvable_pairs_numpy(
 
 #: Below this many cells (``rows * k``) the fixed cost of the native
 #: path (the Mersenne state hand-off and the ctypes call) beats its win.
-_NATIVE_MIN_CELLS = 4096
+_NATIVE_MIN_CELLS = 256
 
 
 def _native_lane(k: int) -> _native.NativeKernel | None:
@@ -419,6 +426,32 @@ def _native_lane(k: int) -> _native.NativeKernel | None:
     if 2 * k * k < _NATIVE_MIN_CELLS:
         return None
     return _native.load()
+
+
+class InstanceBuffers:
+    """The two matrices :func:`random_instance_stats` draws an instance
+    into (the proposers' preferences, the responders' ranks), kept for
+    reuse from one instance to the next.
+
+    Grown on demand and never shrunk: an instance overwrites every one of
+    the first ``k * k`` cells of both and reads no other, so what a
+    larger earlier instance left past them is never seen.  One owner at
+    a time: an :class:`~repro.runtime.ExecutionCache` holds one set for
+    its batch.
+    """
+
+    __slots__ = ("pref", "rank")
+
+    def __init__(self) -> None:
+        self.pref = array("i")
+        self.rank = array("i")
+
+    def reserve(self, cells: int) -> tuple[array, array]:
+        """Both matrices, grown to at least ``cells`` cells."""
+        if len(self.pref) < cells:
+            self.pref = array("i", [0]) * cells
+            self.rank = array("i", [0]) * cells
+        return self.pref, self.rank
 
 
 def _shuffled_row(k: int, getrandbits) -> list[int]:
@@ -478,7 +511,9 @@ def random_index_rows(
     return left, right
 
 
-def random_instance_stats(k: int, seed: int) -> tuple[int, int]:
+def random_instance_stats(
+    k: int, seed: int, buffers: InstanceBuffers | None = None
+) -> tuple[int, int]:
     """``(proposals, receiver_rank_sum)`` of AG-S(L) on the seeded
     uniform instance — the offline record path, ``PartyId``-free.
 
@@ -487,26 +522,31 @@ def random_instance_stats(k: int, seed: int) -> tuple[int, int]:
     loop is order-invariant, and ``receiver_rank`` sums the same
     1-indexed partner ranks.  Complete preferences always match
     everyone, so ``matched == k`` and ``rejections == proposals - k``.
+    ``buffers`` lends the two matrices (the engine passes its batch
+    cache's); without it the call allocates its own.
     """
     rng = random.Random(seed)
+    if buffers is None:
+        buffers = InstanceBuffers()
+    pref, rank = buffers.reserve(k * k)
     native = _native_lane(k)
     if native is not None:
-        # Stay in flat int buffers: the left block *is* the proposer
-        # preference matrix, the right block inverts to the rank matrix.
-        left_pref, right_pref = native.shuffled_rows(rng, k, k, k)
-        right_rank = native.invert_rows(right_pref, k)
+        # One pass: the left rows land as the proposers' preference
+        # matrix, the right rows only as their inverses (the rank matrix).
+        native.draw_instance(rng, k, pref, rank)
     else:
-        left_rows, right_rows = random_index_rows(k, rng)
-        left_pref = array("i", [entry for row in left_rows for entry in row])
-        right_rank = array("i", bytes(4 * k * k))
-        for responder, row in enumerate(right_rows):
+        getrandbits = rng.getrandbits
+        for proposer in range(k):
+            base = proposer * k
+            pref[base : base + k] = array("i", _shuffled_row(k, getrandbits))
+        for responder in range(k):
             base = responder * k
-            for position, proposer in enumerate(row):
-                right_rank[base + proposer] = position
-    engaged, proposals = gs_rank_arrays(k, left_pref, right_rank)
+            for position, proposer in enumerate(_shuffled_row(k, getrandbits)):
+                rank[base + proposer] = position
+    engaged, proposals = gs_rank_arrays(k, pref, rank)
     receiver_rank = k  # the "+1" of every 1-indexed rank, hoisted
     for responder in range(k):
-        receiver_rank += right_rank[responder * k + engaged[responder]]
+        receiver_rank += rank[responder * k + engaged[responder]]
     return proposals, receiver_rank
 
 

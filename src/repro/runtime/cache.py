@@ -26,6 +26,7 @@ from repro.crypto.encoding import EncodeMemo, SizeMemo, encode, encoded_size
 from repro.crypto.signatures import KeyRing, Signature
 from repro.errors import ProtocolError
 from repro.ids import PartyId
+from repro.matching.kernel import InstanceBuffers
 
 __all__ = [
     "ExecutionCache",
@@ -99,13 +100,22 @@ class NullExecutionCache:
         """Memoized ``build()`` — the null cache always rebuilds."""
         return build()
 
+    #: The matrices the offline kernel draws random instances into
+    #: (:class:`~repro.matching.kernel.InstanceBuffers`); ``None`` makes
+    #: every instance allocate its own.
+    instance_buffers: InstanceBuffers | None = None
+
 
 class ExecutionCache(NullExecutionCache):
     """Shared memoization for a batch of runs.
 
     One instance is scoped to one batch (the engine builds a fresh one
     per sweep), so cached values never leak across unrelated workloads
-    and memory is reclaimed when the batch ends.
+    and memory is reclaimed when the batch ends.  That includes the
+    matrices the offline kernel draws its random instances into
+    (:attr:`instance_buffers`): one set per batch, grown to its largest
+    instance, so consecutive instances reuse warm pages.  Like the memos,
+    a cache serves one thread at a time.
 
     The heart is one identity-keyed ``value -> canonical bytes`` memo
     (:class:`~repro.crypto.encoding.EncodeMemo`) threaded through
@@ -136,6 +146,8 @@ class ExecutionCache(NullExecutionCache):
         self._verify_misses = 0
         self._memo_hits = 0
         self._memo_misses = 0
+        # Reused by every random instance of the batch, freed with it.
+        self.instance_buffers = InstanceBuffers()
 
     # -- canonical bytes ---------------------------------------------------------
 

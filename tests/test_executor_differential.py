@@ -534,6 +534,35 @@ class TestHostsExecutor:
         assert "chunk specs 0.." in message
         assert "WORKER-DIED-HERE" in message
 
+    def test_worker_speaking_garbage_mid_sweep(self):
+        """A worker that handshakes, then answers every request with a
+        non-JSON line: beside a live host its chunks are stolen and the
+        records are the reference; alone, the sweep fails naming the
+        host and the chunk."""
+        import shlex
+        import sys
+
+        from repro.errors import RemoteError
+        from repro.runtime.diskcache import cache_version
+
+        script = (
+            "import json, sys\n"
+            "print(json.dumps({'op': 'ready', 'version': sys.argv[1]}), flush=True)\n"
+            "for _ in sys.stdin:\n"
+            "    print('<html>not a reply</html>', flush=True)\n"
+        )
+        host = f"cmd:{sys.executable} -c {shlex.quote(script)} {cache_version()}"
+        sweep = SWEEPS["plain_grid"]
+        reference = SESSION.sweep(sweep)
+        candidate = SESSION.sweep(
+            sweep, executor=ExecutorSpec(name="hosts", hosts=(host, "local"))
+        )
+        assert candidate.to_json() == reference.to_json()
+        with pytest.raises(RemoteError) as failure:
+            SESSION.sweep(sweep, executor=ExecutorSpec(name="hosts", hosts=(host,)))
+        message = str(failure.value)
+        assert f"worker {host!r} spoke garbage running chunk specs 0.." in message
+
     def test_https_endpoint_rejected(self):
         from repro.errors import RemoteError
         from repro.runtime.remote import _open_host

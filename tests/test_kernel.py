@@ -11,6 +11,7 @@ order, and the offline record statistics.
 """
 
 import heapq
+import itertools
 import random
 
 import pytest
@@ -440,19 +441,21 @@ def _lane_or_skip():
 
 
 def _count_lane_draws(monkeypatch, native):
-    """Patch ``_native.load`` to return ``native`` and record the row
-    counts of every ``shuffled_rows`` call made through it."""
+    """Patch ``_native.load`` to return ``native`` and record every
+    ``shuffled_rows`` (with its row counts) and ``draw_instance`` (with
+    its ``k``) call made through it."""
     from repro.matching import _native
 
     calls = []
 
     class Spy:
         def shuffled_rows(self, rng, k, *counts):
-            calls.append(counts)
+            calls.append(("shuffled_rows", counts))
             return native.shuffled_rows(rng, k, *counts)
 
-        def invert_rows(self, rows, k):
-            return native.invert_rows(rows, k)
+        def draw_instance(self, rng, k, pref, rank):
+            calls.append(("draw_instance", k))
+            return native.draw_instance(rng, k, pref, rank)
 
     spy = Spy()
     monkeypatch.setattr(_native, "load", lambda: spy)
@@ -470,17 +473,23 @@ def _pure_python_stats(monkeypatch, k, seed):
 class TestNativeLane:
     """The compiled Fisher-Yates lane is bit-identical to the python loop."""
 
-    @pytest.mark.parametrize("k", (64, 65, 257, 8192))
+    # 2..5 and 1023..1025 put bit-length edges (where the loop changes
+    # its shift) at the first and last draws of a row.
+    @pytest.mark.parametrize("k", (64, 65, 257, 8192, 2, 3, 4, 5, 1023, 1024, 1025))
     def test_rows_and_rng_state_match_pure_python(self, k):
         from repro.matching.kernel import _shuffled_row
 
         native = _lane_or_skip()
-        for count in (1, 3, 8) if k == 8192 else (1, 2, 40, 2 * k):
+        counts = (1, 3, 8) if k > 1000 else (1, 2, 40, 2 * k)
+        for fresh, count in itertools.product((True, False), counts):
             fast, slow = random.Random(k + count), random.Random(k + count)
-            # Start mid-stream with a pending gauss value: the hand-off
-            # must keep the read index and the rest of the state intact.
-            fast.gauss(0.0, 1.0)
-            slow.gauss(0.0, 1.0)
+            if not fresh:
+                # Start mid-stream with a pending gauss value: the
+                # hand-off must keep the read index and the rest of the
+                # state intact.  A fresh generator's index is 624: its
+                # first draw twists.
+                fast.gauss(0.0, 1.0)
+                slow.gauss(0.0, 1.0)
             (block,) = native.shuffled_rows(fast, k, count)
             getrandbits = slow.getrandbits
             rows = [_shuffled_row(k, getrandbits) for _ in range(count)]
@@ -513,11 +522,89 @@ class TestNativeLane:
         assert loads == []
 
     def test_native_invert_matches_python(self):
+        """``draw_instance`` equals ``shuffled_rows`` of ``2k`` rows with
+        the last ``k`` inverted in python, leaves the generator where
+        those draws do, and writes no cell past ``k * k``."""
+        from array import array
+
+        from repro.matching.kernel import _invert_rows
+
+        native = _lane_or_skip()
+        for k in (1, 2, 5, 12, 64, 257):
+            drawn, instance = random.Random(k), random.Random(k)
+            drawn.random()
+            instance.random()
+            (rows,) = native.shuffled_rows(drawn, k, 2 * k)
+            cells = k * k
+            pref, rank = array("i", [-1]) * (cells + 3), array("i", [-1]) * (cells + 3)
+            native.draw_instance(instance, k, pref, rank)
+            assert pref[:cells] == rows[:cells]
+            assert rank[:cells] == _invert_rows(k, rows[cells:])
+            assert pref[cells:].tolist() == rank[cells:].tolist() == [-1, -1, -1]
+            assert instance.getstate() == drawn.getstate()
+
+    def test_draw_instance_refuses_short_buffers(self):
         from array import array
 
         native = _lane_or_skip()
-        rows = array("i", [2, 0, 1, 3, 3, 2, 1, 0])
-        assert native.invert_rows(rows, 4).tolist() == [1, 2, 0, 3, 3, 2, 1, 0]
+        with pytest.raises(ValueError, match="at least 16 cells"):
+            native.draw_instance(random.Random(0), 4, array("i", [0]) * 16, array("i", [0]) * 15)
+        with pytest.raises(ValueError, match="array"):
+            native.draw_instance(random.Random(0), 4, array("l", [0]) * 16, array("i", [0]) * 16)
+
+    @pytest.mark.parametrize("lane", ("native", "python"))
+    def test_reused_buffers_match_fresh_allocation(self, monkeypatch, lane):
+        """One cache's buffers over descending, then ascending ``k``: every
+        instance equals a freshly allocated one, so no stale cell from a
+        larger earlier instance is ever read."""
+        from repro.matching import _native
+        from repro.runtime.cache import ExecutionCache
+
+        if lane == "native":
+            _lane_or_skip()
+        else:
+            monkeypatch.setattr(_native, "load", lambda: None)
+        cache = ExecutionCache()
+        for k in (300, 65, 12, 11, 5, 1, 2, 8, 13, 64, 301):
+            seed = 7 * k
+            assert random_instance_stats(k, seed, cache.instance_buffers) == (
+                random_instance_stats(k, seed)
+            )
+        assert len(cache.instance_buffers.pref) == 301 * 301
+
+    def test_threads_with_their_own_caches_draw_at_once(self):
+        """The ctypes call releases the GIL: threads drawing at the same
+        time, each into its own cache's buffers, all match the reference."""
+        import sys
+        import threading
+
+        from repro.runtime.cache import ExecutionCache
+
+        _lane_or_skip()
+        jobs = [(k, seed) for seed in range(3) for k in (400, 64, 257, 12)]
+        expected = [random_instance_stats(k, seed) for k, seed in jobs]
+        start = threading.Barrier(4)
+        results: dict[int, list] = {}
+
+        def draw(slot):
+            cache = ExecutionCache()
+            start.wait(timeout=30)
+            results[slot] = [
+                random_instance_stats(k, seed, cache.instance_buffers) for k, seed in jobs
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=draw, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {slot: expected for slot in range(4)}
 
     def test_lane_runs_without_numpy(self, monkeypatch):
         from repro.matching import _native, kernel
@@ -533,9 +620,9 @@ class TestNativeLane:
         calls = _count_lane_draws(monkeypatch, native)
         assert random_instance_stats(k, seed) == expected_stats
         assert random_index_rows(k, random.Random(seed)) == expected_rows
-        assert calls == [(k, k), (k, k)]
+        assert calls == [("draw_instance", k), ("shuffled_rows", (k, k))]
 
-    @pytest.mark.parametrize("k", (45, 46, 64, 257, 1000))
+    @pytest.mark.parametrize("k", (45, 46, 64, 257, 1000, 8, 11, 12, 16))
     def test_stats_match_pure_python_across_the_threshold(self, monkeypatch, k):
         from repro.matching.kernel import _NATIVE_MIN_CELLS
 
